@@ -12,22 +12,18 @@ from .families import (
     build_g,
     family_345,
     family_345_integral_abs,
-    phi_roots,
-    theta_roots,
     verify_theorem3,
 )
 from .fibonacci import (
-    BINET_MAX_INDEX,
     FibWindow,
     NoWitnessError,
     fib,
-    fib_binet_approx,
     fib_mod,
     fib_window,
     mod3_witness,
     verify_fib4n_mod3,
 )
-from .numeric import Rat, gcd, is_integral, isqrt_exact, number_str, rat
+from .numeric import isqrt_exact, number_str, parse_int
 from .oracle import (
     PolyFault,
     SweepConfig,
@@ -58,6 +54,6 @@ from .quadratic import (
 )
 from .report import VerificationReport
 from .svgplot import render_quadratic_svg, write_quadratic_svg
-from .triples import Triple, is_pythagorean, primitivity, scale, triple_from_window
+from .triples import Triple, primitivity, scale, triple_from_window
 
 __version__ = "0.1.0"

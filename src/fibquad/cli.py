@@ -2,21 +2,22 @@
 analysis, family tables, verification sweeps, and SVG figures.
 
 Exit codes: 0 success (all claims pass), 1 verification counterexample,
-2 usage or input error. Every subcommand takes --format json|csv|table;
-JSON and CSV render numbers as decimal strings.
+2 usage or input error. Every subcommand takes --format json|csv|table
+and prints through one emitter. Numbers of any length are emitted and
+accepted as exact decimal strings, rationals as "num/den".
 """
 
 import argparse
 import csv
-import io
 import json
 import sys
 from dataclasses import replace
-from typing import List, Optional
+from fractions import Fraction
+from typing import Callable, List, Optional
 
 from . import families, oracle
 from .fibonacci import fib, fib_mod, fib_window
-from .numeric import number_str
+from .numeric import number_str, parse_int
 from .quadratic import NEGATIVE, POSITIVE, QuadPoly, analyze, build_quadratic
 from .svgplot import SAMPLES, write_quadratic_svg
 from .triples import primitivity, scale, triple_from_window
@@ -27,99 +28,75 @@ EXIT_USAGE = 2
 
 FORMATS = ("table", "json", "csv")
 
+ANALYSIS_COLUMNS = ["a", "b", "c", "kind", "x1", "x2", "vertex_x", "vertex_y", "discriminant",
+                    "integral_signed", "integral_abs", "p1", "p2", "p3"]
+
 
 def _nonneg(text: str) -> int:
-    value = int(text)
+    value = parse_int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = parse_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+def _cell(value) -> str:
+    """Text of one CSV or table cell; None is an empty cell."""
+    if value is None:
+        return ""
+    return number_str(value) if isinstance(value, (int, Fraction)) else str(value)
 
 
-def _print_csv(header: List[str], rows: List[List[object]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _emit(fmt: str, header: List[str], rows: Callable[[], List[list]], payload: Callable[[], object],
+          table: Optional[Callable[[], str]] = None) -> None:
+    """Print one command's result in fmt, building only what fmt prints.
 
-
-def _print_table(header: List[str], rows: List[List[object]]) -> None:
-    cells = [[str(v) for v in row] for row in rows]
-    widths = [max(len(h), *(len(r[k]) for r in cells)) if cells else len(h)
-              for k, h in enumerate(header)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in cells:
-        print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
+    json prints payload(); csv prints header and rows(); table prints
+    table() for a command with its own layout, else header and rows() as
+    left-aligned columns.
+    """
+    if fmt == "json":
+        print(json.dumps(payload(), indent=2))
+    elif fmt == "table" and table is not None:
+        print(table())
+    else:
+        lines = [header] + [[_cell(v) for v in row] for row in rows()]
+        if fmt == "csv":
+            csv.writer(sys.stdout, lineterminator="\n").writerows(lines)
+        else:
+            widths = [max(map(len, column)) for column in zip(*lines)]
+            for line in lines:
+                print("  ".join(v.ljust(w) for v, w in zip(line, widths)))
 
 
 def cmd_fib(args) -> int:
-    if args.mod is not None:
-        value = fib_mod(args.n, args.mod)
-    else:
-        value = fib(args.n)
-    if args.format == "json":
-        _print_json({"n": str(args.n), "mod": None if args.mod is None else str(args.mod),
-                     "value": number_str(value)})
-    elif args.format == "csv":
-        _print_csv(["n", "mod", "value"],
-                   [[args.n, "" if args.mod is None else args.mod, number_str(value)]])
-    else:
-        print(number_str(value))
+    value = fib(args.n) if args.mod is None else fib_mod(args.n, args.mod)
+    _emit(args.format, ["n", "mod", "value"],
+          lambda: [[args.n, args.mod, value]],
+          lambda: {"n": number_str(args.n), "mod": None if args.mod is None else number_str(args.mod),
+                   "value": number_str(value)},
+          lambda: number_str(value))
     return EXIT_OK
 
 
 def cmd_triples(args) -> int:
     if args.i_from > args.i_to:
         raise ValueError(f"--from {args.i_from} exceeds --to {args.i_to}")
-    rows = []
+    triples = []
     for i in range(args.i_from, args.i_to + 1):
         t = triple_from_window(fib_window(i))
-        if args.scale > 1:
-            t = scale(t, args.scale)
-        _, g = primitivity(t)
-        rows.append((i, t, g))
-    if args.format == "json":
-        _print_json([dict(i=str(i), **t.to_dict()) for i, t, _ in rows])
-    elif args.format == "csv":
-        _print_csv(["i", "leg_a", "leg_b", "hyp", "gcd", "primitive"],
-                   [[i, t.leg_a, t.leg_b, t.hyp, g, g == 1] for i, t, g in rows])
-    else:
-        _print_table(["i", "leg_a", "leg_b", "hyp", "gcd", "primitive"],
-                     [[i, t.leg_a, t.leg_b, t.hyp, g, g == 1] for i, t, g in rows])
+        triples.append((i, scale(t, args.scale) if args.scale > 1 else t))
+    _emit(args.format, ["i", "leg_a", "leg_b", "hyp", "gcd", "primitive"],
+          lambda: [[i, *t.sides(), g, primitive]
+                   for i, t in triples for primitive, g in [primitivity(t)]],
+          lambda: [dict(i=number_str(i), **t.to_dict()) for i, t in triples])
     return EXIT_OK
-
-
-def _emit_analysis(report, fmt: str) -> None:
-    d = report.to_dict()
-    if fmt == "json":
-        _print_json(d)
-        return
-    flat = {
-        "a": d["poly"]["a"], "b": d["poly"]["b"], "c": d["poly"]["c"],
-        "kind": d["roots"]["kind"], "x1": d["roots"]["x1"], "x2": d["roots"]["x2"],
-        "vertex_x": d["vertex_x"], "vertex_y": d["vertex_y"],
-        "discriminant": d["discriminant"],
-        "integral_signed": d["integral_signed"], "integral_abs": d["integral_abs"],
-        "p1": None if d["breakdown"] is None else d["breakdown"]["p1"],
-        "p2": None if d["breakdown"] is None else d["breakdown"]["p2"],
-        "p3": None if d["breakdown"] is None else d["breakdown"]["p3"],
-    }
-    if fmt == "csv":
-        _print_csv(list(flat), [["" if v is None else v for v in flat.values()]])
-    else:
-        for key, value in flat.items():
-            print(f"{key:>16}: {'-' if value is None else value}")
 
 
 def cmd_quad(args) -> int:
@@ -128,38 +105,35 @@ def cmd_quad(args) -> int:
         q = build_quadratic(args.leg, args.hyp, orientation)
     else:
         q = QuadPoly(args.a, args.b, args.c)
-    _emit_analysis(analyze(q), args.format)
+    r = analyze(q)
+
+    def row():
+        return [*q.coeffs(), r.roots.kind, r.roots.x1, r.roots.x2, r.vertex_x, r.vertex_y,
+                r.discriminant, r.integral_signed, r.integral_abs, *(r.breakdown or [None] * 3)]
+
+    _emit(args.format, ANALYSIS_COLUMNS, lambda: [row()], r.to_dict,
+          lambda: "\n".join(f"{key:>16}: {'-' if v is None else _cell(v)}"
+                            for key, v in zip(ANALYSIS_COLUMNS, row())))
     return EXIT_OK
 
 
 def cmd_family(args) -> int:
     flavors = [families.FLAVOR_F, families.FLAVOR_G] if args.flavor == "both" else [args.flavor]
-    rows = []
+    members = []
     for n in range(0, args.n_max + 1):
         for flavor in flavors:
             t, q = families.family_345(n, flavor)
-            report = analyze(q)
+            r = analyze(q)
             closed = families.family_345_integral_abs(n, flavor)
-            rows.append((n, flavor, t, report, closed, report.integral_abs == closed))
-    if args.format == "json":
-        _print_json([
-            {"n": str(n), "flavor": flavor, "triple": t.to_dict(),
-             "analysis": report.to_dict(), "closed_form": str(closed), "match": match}
-            for n, flavor, t, report, closed, match in rows
-        ])
-        return EXIT_OK
-    header = ["n", "a", "b", "c", "x1", "x2", "vx", "vy", "integral_abs",
-              "flavor", "closed_form", "match"]
-    table = [[n, q.a, q.b, q.c,
-              number_str(report.roots.x1), number_str(report.roots.x2),
-              number_str(report.vertex_x), number_str(report.vertex_y),
-              number_str(report.integral_abs), flavor, closed, match]
-             for n, flavor, t, report, closed, match in rows
-             for q in (report.poly,)]
-    if args.format == "csv":
-        _print_csv(header, table)
-    else:
-        _print_table(header, table)
+            members.append((n, flavor, t, r, closed, r.integral_abs == closed))
+    _emit(args.format,
+          ["n", "a", "b", "c", "x1", "x2", "vx", "vy", "integral_abs", "flavor", "closed_form", "match"],
+          lambda: [[n, *r.poly.coeffs(), r.roots.x1, r.roots.x2, r.vertex_x, r.vertex_y,
+                    r.integral_abs, flavor, closed, match]
+                   for n, flavor, t, r, closed, match in members],
+          lambda: [{"n": number_str(n), "flavor": flavor, "triple": t.to_dict(),
+                    "analysis": r.to_dict(), "closed_form": number_str(closed), "match": match}
+                   for n, flavor, t, r, closed, match in members])
     return EXIT_OK
 
 
@@ -179,17 +153,17 @@ def cmd_verify(args) -> int:
     names = None if args.claim == "all" else [args.claim]
     reports = oracle.run_all_claims(config, names)
     failed = [r for r in reports if not r.passed]
-    if args.format == "json":
-        _print_json([r.to_dict() for r in reports])
-    elif args.format == "csv":
-        _print_csv(["claim", "range", "status", "counterexamples", "elapsed"],
-                   [[r.claim_id, r.range, r.status, len(r.counterexamples), f"{r.elapsed:.3f}"]
-                    for r in reports])
-    else:
-        for r in reports:
-            print(f"{r.status.upper():4}  {r.claim_id:10} ({r.range})  [{r.elapsed:.3f}s]")
+
+    def table():
+        lines = [f"{r.status.upper():4}  {r.claim_id:10} ({r.range})  [{r.elapsed:.3f}s]" for r in reports]
         if failed:
-            print(json.dumps([r.to_dict() for r in failed], indent=2))
+            lines.append(json.dumps([r.to_dict() for r in failed], indent=2))
+        return "\n".join(lines)
+
+    _emit(args.format, ["claim", "range", "status", "counterexamples", "elapsed"],
+          lambda: [[r.claim_id, r.range, r.status, len(r.counterexamples), f"{r.elapsed:.3f}"]
+                   for r in reports],
+          lambda: [r.to_dict() for r in reports], table)
     return EXIT_COUNTEREXAMPLE if failed else EXIT_OK
 
 
@@ -197,14 +171,10 @@ def cmd_plot(args) -> int:
     orientation = NEGATIVE if args.neg else POSITIVE
     q = build_quadratic(args.leg, args.hyp, orientation)
     write_quadratic_svg(args.out, q)
-    if args.format == "json":
-        _print_json({"out": args.out, "samples": str(SAMPLES),
-                     "poly": q.to_dict()})
-    elif args.format == "csv":
-        _print_csv(["out", "samples", "a", "b", "c"],
-                   [[args.out, SAMPLES, q.a, q.b, q.c]])
-    else:
-        print(f"wrote {args.out}")
+    _emit(args.format, ["out", "samples", "a", "b", "c"],
+          lambda: [[args.out, SAMPLES, *q.coeffs()]],
+          lambda: {"out": args.out, "samples": number_str(SAMPLES), "poly": q.to_dict()},
+          lambda: f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -222,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fib", help="Fibonacci term, optionally reduced modulo m")
     p.add_argument("--n", type=_nonneg, required=True, help="term index (>= 0)")
-    p.add_argument("--mod", type=int, default=None, help="modulus (>= 2)")
+    p.add_argument("--mod", type=parse_int, default=None, help="modulus (>= 2)")
     add_format(p)
     p.set_defaults(func=cmd_fib)
 
@@ -244,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(pb)
     pb.set_defaults(func=cmd_quad)
     pa = quad_sub.add_parser("analyze", help="analyze raw coefficients")
-    pa.add_argument("--a", type=int, required=True)
-    pa.add_argument("--b", type=int, required=True)
-    pa.add_argument("--c", type=int, required=True)
+    pa.add_argument("--a", type=parse_int, required=True)
+    pa.add_argument("--b", type=parse_int, required=True)
+    pa.add_argument("--c", type=parse_int, required=True)
     add_format(pa)
     pa.set_defaults(func=cmd_quad)
 

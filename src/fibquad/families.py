@@ -82,16 +82,6 @@ def build_g(i: int) -> FamilyPoly:
     return FamilyPoly(w, FLAVOR_G, poly, roots)
 
 
-def theta_roots(i: int) -> RootPair:
-    """Closed-form roots of the flavor-f member at window i."""
-    return build_f(i).closed_roots
-
-
-def phi_roots(i: int) -> RootPair:
-    """Closed-form roots of the flavor-g member at window i."""
-    return build_g(i).closed_roots
-
-
 BASE_TRIPLE = Triple(3, 4, 5)
 
 # Exact closed forms for the scaled (3,4,5) family's |integral|:

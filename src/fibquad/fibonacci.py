@@ -5,16 +5,11 @@ though the terms grow exponentially. fib_mod iterates residues and never
 materializes the full term, which keeps sweeps to n = 10^4 instant.
 """
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Tuple
 
 from .report import VerificationReport, make_report
-
-# Double precision loses the integer past this index: the rounding error
-# of the closed-form evaluation crosses 0.5 at index 71.
-BINET_MAX_INDEX = 70
 
 
 class NoWitnessError(ArithmeticError):
@@ -111,17 +106,3 @@ def mod3_witness(w: FibWindow) -> int:
         if term % 3 == 0:
             return pos
     raise NoWitnessError(f"no term divisible by 3 in window at i={w.i}: {w.terms}")
-
-
-def fib_binet_approx(n: int) -> float:
-    """Closed-form floating evaluation; only trustworthy through index 70."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    if n > BINET_MAX_INDEX:
-        raise ValueError(
-            f"double precision drifts past 0.5 beyond index {BINET_MAX_INDEX}, got {n}"
-        )
-    sqrt5 = math.sqrt(5.0)
-    phi = (1.0 + sqrt5) / 2.0
-    psi = (1.0 - sqrt5) / 2.0
-    return (phi ** n - psi ** n) / sqrt5

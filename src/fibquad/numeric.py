@@ -1,24 +1,23 @@
-"""Exact integer and rational primitives shared by every other module.
+"""Exact integer helpers and the decimal wire form shared by every other module.
 
 Python ints are already arbitrary precision, and fractions.Fraction keeps
 gcd(|num|, den) = 1 with den > 0 as construction invariants, so both are
-used directly. Everything here is pure and exact; no floating point.
+used directly. number_str and parse_int are the only conversions between
+numbers and decimal text. Both fall back to decimal.Decimal past the
+interpreter's int/str digit limit (4300 digits by default), so numbers of
+any length round-trip exactly without touching that process-wide setting.
 """
 
+import re
+from decimal import Decimal
 from fractions import Fraction
-from math import gcd as _gcd, isqrt as _isqrt
+from math import isqrt as _isqrt
 from typing import Optional, Union
 
-# Canonical reduced rational: den > 0, gcd(|num|, den) = 1, sign on the
-# numerator. Fraction guarantees all three on construction.
-Rat = Fraction
-
-Number = Union[int, Fraction]
-
-
-def gcd(x: int, y: int) -> int:
-    """Non-negative greatest common divisor; gcd(0, 0) is 0."""
-    return _gcd(x, y)
+# The syntax int() accepts in base 10: surrounding whitespace, an optional
+# sign, and digits with single underscores between them. Kept as text so
+# that importing the package compiles no pattern.
+_INT_TEXT = r"\s*[+-]?\d+(?:_\d+)*\s*"
 
 
 def isqrt_exact(x: int) -> Optional[int]:
@@ -32,22 +31,32 @@ def isqrt_exact(x: int) -> Optional[int]:
     return r if r * r == x else None
 
 
-def rat(num: int, den: int = 1) -> Rat:
-    """Canonical reduced rational. A zero denominator raises ZeroDivisionError."""
-    return Fraction(num, den)
-
-
-def is_integral(x: Number) -> bool:
-    """True when x is a whole number (denominator 1 after reduction)."""
-    return isinstance(x, int) or x.denominator == 1
-
-
-def number_str(x: Number) -> str:
-    """Decimal-string wire form used by JSON and CSV output.
+def number_str(x: Union[int, Fraction]) -> str:
+    """Decimal-string wire form used by JSON, CSV and table output.
 
     Integers and whole rationals render as plain decimal strings, other
-    rationals as "num/den", so consumers never need 64-bit parsing.
+    rationals as "num/den", at any length, so consumers never need 64-bit
+    parsing.
     """
     if isinstance(x, Fraction) and x.denominator == 1:
-        return str(x.numerator)
-    return str(x)
+        x = x.numerator
+    try:
+        return str(x)  # the fast path, below the digit limit
+    except ValueError:
+        if isinstance(x, Fraction):
+            return str(Decimal(x.numerator)) + "/" + str(Decimal(x.denominator))
+        return str(Decimal(x))
+
+
+def parse_int(text: str) -> int:
+    """The integer that decimal text spells, at any length.
+
+    Accepts exactly what int(text) accepts below the digit limit; anything
+    else, such as "1e5", "nan", "1.5" or "", raises ValueError.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        if re.fullmatch(_INT_TEXT, text) is None:
+            raise
+        return int(Decimal(text))

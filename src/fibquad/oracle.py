@@ -18,7 +18,6 @@ from typing import List, Optional
 
 from . import families
 from .fibonacci import fib_window, mod3_witness, verify_fib4n_mod3
-from .numeric import Rat
 from .quadratic import (
     POSITIVE,
     TWO_DISTINCT,
@@ -32,7 +31,7 @@ from .report import VerificationReport, make_report
 from .triples import Triple, primitivity, scale, triple_from_window
 
 
-def simpson_exact(q: QuadPoly, lo, hi) -> Rat:
+def simpson_exact(q: QuadPoly, lo, hi) -> Fraction:
     """Three-point Newton-Cotes rule on exact rationals.
 
     Exact for polynomials of degree <= 3 and computed without the

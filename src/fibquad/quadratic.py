@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .numeric import Rat, isqrt_exact, number_str
+from .numeric import isqrt_exact, number_str
 
 TWO_DISTINCT = "two-distinct"
 DOUBLE = "double"
@@ -49,8 +49,8 @@ class RootPair:
     x2 = -hyp - other. Both are None for the irrational-or-complex kind.
     """
 
-    x1: Optional[Rat]
-    x2: Optional[Rat]
+    x1: Optional[Fraction]
+    x2: Optional[Fraction]
     kind: str
 
     def to_dict(self) -> Dict[str, object]:
@@ -72,12 +72,12 @@ class AnalysisReport:
 
     poly: QuadPoly
     roots: RootPair
-    vertex_x: Rat
-    vertex_y: Rat
+    vertex_x: Fraction
+    vertex_y: Fraction
     discriminant: int
-    integral_signed: Optional[Rat]
-    integral_abs: Optional[Rat]
-    breakdown: Optional[Tuple[Rat, Rat, Rat]]
+    integral_signed: Optional[Fraction]
+    integral_abs: Optional[Fraction]
+    breakdown: Optional[Tuple[Fraction, Fraction, Fraction]]
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -154,19 +154,19 @@ def derivative(q: QuadPoly) -> Tuple[int, int]:
     return 2 * q.a, q.b
 
 
-def evaluate(q: QuadPoly, x) -> Rat:
+def evaluate(q: QuadPoly, x) -> Fraction:
     """Exact value of q at a rational (or integer) point."""
     x = Fraction(x)
     return (q.a * x + q.b) * x + q.c
 
 
-def vertex(q: QuadPoly) -> Tuple[Rat, Rat]:
+def vertex(q: QuadPoly) -> Tuple[Fraction, Fraction]:
     """Critical point (-b/2a, q(-b/2a)), exact."""
     x = Fraction(-q.b, 2 * q.a)
     return x, evaluate(q, x)
 
 
-def integrate(q: QuadPoly, lo, hi) -> Rat:
+def integrate(q: QuadPoly, lo, hi) -> Fraction:
     """Definite integral via the antiderivative (a/3)x^3 + (b/2)x^2 + cx."""
     lo, hi = Fraction(lo), Fraction(hi)
 
@@ -176,7 +176,7 @@ def integrate(q: QuadPoly, lo, hi) -> Rat:
     return antiderivative(hi) - antiderivative(lo)
 
 
-def integral_breakdown(q: QuadPoly, lo, hi) -> Tuple[Rat, Rat, Rat]:
+def integral_breakdown(q: QuadPoly, lo, hi) -> Tuple[Fraction, Fraction, Fraction]:
     """Per-term integrals (quadratic, linear, constant); they sum to integrate()."""
     lo, hi = Fraction(lo), Fraction(hi)
     p1 = Fraction(q.a, 3) * (hi ** 3 - lo ** 3)

@@ -1,6 +1,5 @@
 """Shared verification report record for sweep and claim runners."""
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
@@ -41,9 +40,6 @@ class VerificationReport:
             "counterexamples": self.counterexamples,
             "elapsed": self.elapsed,
         }
-
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def make_report(claim_id: str, range_desc: str, counterexamples, elapsed: float) -> VerificationReport:

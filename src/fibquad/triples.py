@@ -8,10 +8,11 @@ the coefficients.
 """
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Dict, Tuple
 
 from .fibonacci import FibWindow
-from .numeric import gcd, number_str
+from .numeric import number_str
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,6 @@ def triple_from_window(w: FibWindow) -> Triple:
         raise ValueError("window at i=0 yields a zero leg; use i >= 1")
     t0, t1, t2, t3 = w.terms
     return Triple(t0 * t3, 2 * t1 * t2, t1 * t1 + t2 * t2)
-
-
-def is_pythagorean(a: int, b: int, c: int) -> bool:
-    """True iff all three are positive and a^2 + b^2 = c^2."""
-    return a > 0 and b > 0 and c > 0 and a * a + b * b == c * c
 
 
 def primitivity(t: Triple) -> Tuple[bool, int]:

@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
-from fibquad.cli import main
+import pytest
+
+from fibquad.cli import FORMATS, main
+from fibquad.numeric import number_str, parse_int
 
 
 def run_cli(capsys, *argv):
@@ -278,3 +284,111 @@ def test_subprocess_exit_codes():
     bad = subprocess.run([sys.executable, "-m", "fibquad", "triples", "--from", "0", "--to", "1"],
                          capture_output=True, text=True)
     assert bad.returncode == 2
+
+
+# Exact output of each command in each format, captured from the
+# per-command emitters that preceded the shared one.
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
+
+
+def mask_elapsed(text):
+    """Zero verify's wall-clock seconds in table, json and csv output."""
+    text = re.sub(r'"elapsed": [0-9.e+-]+', '"elapsed": 0', text)
+    text = re.sub(r"\[\d+\.\d{3}s\]", "[0.000s]", text)
+    return re.sub(r",\d+\.\d{3}$", ",0.000", text, flags=re.M)
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_output_is_byte_exact(argv, tmp_path, capsys):
+    out = str(tmp_path / "fig.svg")  # the pinned text reads {out}
+    code, stdout, stderr = run_cli(capsys, *[out if a == "{out}" else a for a in argv.split()])
+    got = {"code": code, "stdout": mask_elapsed(stdout).replace(out, "{out}"), "stderr": stderr}
+    assert got == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("text", ["1e5", "nan", "inf", "1.5", ""])
+@pytest.mark.parametrize("argv", [("fib", "--n"), ("fib", "--n", "5", "--mod"),
+                                  ("triples", "--from", "1", "--to"),
+                                  ("quad", "analyze", "--b", "1", "--c", "1", "--a")])
+def test_non_integer_argument_is_usage_error(capsys, argv, text):
+    code, out, err = run_cli(capsys, *argv, text)
+    assert code == 2 and out == "" and "invalid" in err
+
+
+# --- numbers past the interpreter's 4300-digit int/str limit ----------------
+
+def fib_pair(n):
+    """(F(n), F(n+1)) by plain iteration, independent of the package."""
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a, b
+
+
+def window_triple(i):
+    t0, t1 = fib_pair(i)
+    t2, t3 = t0 + t1, t0 + 2 * t1
+    return t0 * t3, 2 * t1 * t2, t1 * t1 + t2 * t2
+
+
+def parse_number(text):
+    num, _, den = text.partition("/")
+    return Fraction(parse_int(num), parse_int(den or "1"))
+
+
+def records(out, fmt):
+    """Column-layout output as a list of {column: text}."""
+    if fmt == "json":
+        payload = json.loads(out)
+        return payload if isinstance(payload, list) else [payload]
+    if fmt == "csv":
+        return list(csv.DictReader(io.StringIO(out)))
+    header, *rows = [line.split() for line in out.splitlines()]
+    return [dict(zip(header, row)) for row in rows]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_fib_past_the_digit_limit(capsys, fmt):
+    code, out, _ = run_cli(capsys, "fib", "--n", "30000", "--format", fmt)
+    assert code == 0
+    value = out.strip() if fmt == "table" else records(out, fmt)[0]["value"]
+    assert len(value) > 6000 and parse_int(value) == fib_pair(30000)[0]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_triples_past_the_digit_limit(capsys, fmt):
+    code, out, _ = run_cli(capsys, "triples", "--from", "10400", "--to", "10400", "--format", fmt)
+    assert code == 0
+    [row] = records(out, fmt)
+    assert [parse_int(row[k]) for k in ("i", "leg_a", "leg_b", "hyp", "gcd")] == [10400, *window_triple(10400), 1]
+    assert len(row["hyp"]) > 4300
+
+
+def analysis_fields(out, fmt):
+    if fmt == "json":
+        d = json.loads(out)
+        return {**d["poly"], **d["roots"], **d["breakdown"],
+                **{k: d[k] for k in ("vertex_x", "vertex_y", "discriminant", "integral_signed", "integral_abs")}}
+    if fmt == "csv":
+        return records(out, fmt)[0]
+    return dict(line.strip().split(": ", 1) for line in out.splitlines())
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("i", [2600, 10400])
+def test_quad_build_past_the_digit_limit(capsys, i, fmt):
+    leg_a, leg_b, h = window_triple(i)
+    for l, o in ((leg_a, leg_b), (leg_b, leg_a)):
+        code, out, _ = run_cli(capsys, "quad", "build", "--leg", number_str(l), "--hyp", number_str(h),
+                               "--format", fmt)
+        assert code == 0
+        got = analysis_fields(out, fmt)
+        assert got.pop("kind") == "two-distinct"
+        lo, hi = -h - o, -h + o
+        want = {"a": l, "b": 2 * l * h, "c": l ** 3, "x1": hi, "x2": lo,
+                "vertex_x": -h, "vertex_y": -l * o * o, "discriminant": (2 * l * o) ** 2,
+                "integral_signed": Fraction(-4 * l * o ** 3, 3), "integral_abs": Fraction(4 * l * o ** 3, 3),
+                "p1": Fraction(l * (hi ** 3 - lo ** 3), 3), "p2": l * h * (hi * hi - lo * lo),
+                "p3": l ** 3 * (hi - lo)}
+        assert {k: parse_number(v) for k, v in got.items()} == want
+        assert len(got["integral_abs"]) > 4300

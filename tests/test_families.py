@@ -9,8 +9,6 @@ from fibquad.families import (
     build_g,
     family_345,
     family_345_integral_abs,
-    phi_roots,
-    theta_roots,
     verify_theorem3,
 )
 from fibquad.fibonacci import fib_window
@@ -46,18 +44,21 @@ def test_build_g_examples():
 
 
 def test_builders_reject_degenerate_index():
-    for builder in (build_f, build_g, theta_roots, phi_roots):
+    for builder in (build_f, build_g):
         with pytest.raises(ValueError):
             builder(0)
 
 
 def test_theta_and_phi_root_examples():
-    assert (theta_roots(1).x1, theta_roots(1).x2) == (-1, -9)
-    assert (theta_roots(2).x1, theta_roots(2).x2) == (-1, -25)
-    assert (theta_roots(3).x1, theta_roots(3).x2) == (-4, -64)
-    assert (phi_roots(1).x1, phi_roots(1).x2) == (-2, -8)
-    assert (phi_roots(2).x1, phi_roots(2).x2) == (-8, -18)
-    assert (phi_roots(3).x1, phi_roots(3).x2) == (-18, -50)
+    def roots(member):
+        return member.closed_roots.x1, member.closed_roots.x2
+
+    assert roots(build_f(1)) == (-1, -9)
+    assert roots(build_f(2)) == (-1, -25)
+    assert roots(build_f(3)) == (-4, -64)
+    assert roots(build_g(1)) == (-2, -8)
+    assert roots(build_g(2)) == (-8, -18)
+    assert roots(build_g(3)) == (-18, -50)
 
 
 def test_closed_roots_match_solver_to_100():

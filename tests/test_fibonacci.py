@@ -3,11 +3,9 @@ import types
 import pytest
 
 from fibquad.fibonacci import (
-    BINET_MAX_INDEX,
     FibWindow,
     NoWitnessError,
     fib,
-    fib_binet_approx,
     fib_mod,
     fib_window,
     mod3_witness,
@@ -131,20 +129,3 @@ def test_mod3_witness_raises_without_witness():
     with pytest.raises(NoWitnessError):
         mod3_witness(fake)
 
-
-def test_binet_examples():
-    assert abs(fib_binet_approx(4) - 3.0) < 0.5
-    assert abs(fib_binet_approx(0) - 0.0) < 0.5
-    assert abs(fib_binet_approx(20) - 6765.0) < 0.5
-
-
-def test_binet_within_half_through_index_70():
-    for n in range(BINET_MAX_INDEX + 1):
-        assert abs(fib_binet_approx(n) - fib(n)) < 0.5
-
-
-def test_binet_range_limits():
-    with pytest.raises(ValueError):
-        fib_binet_approx(BINET_MAX_INDEX + 1)
-    with pytest.raises(ValueError):
-        fib_binet_approx(-1)

@@ -3,15 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fibquad.numeric import gcd, is_integral, isqrt_exact, number_str, rat
-
-
-def test_gcd_examples():
-    assert gcd(12, 8) == 4
-    assert gcd(3, 5) == 1
-    assert gcd(0, 7) == 7
-    assert gcd(0, 0) == 0
-    assert gcd(-12, 8) == 4
+from fibquad.numeric import isqrt_exact, number_str, parse_int
 
 
 def test_isqrt_exact_examples():
@@ -42,20 +34,6 @@ def test_isqrt_exact_bracket_invariant(x):
     r = isqrt_exact(x)
     if r is not None:
         assert r * r == x and (r + 1) ** 2 > x
-
-
-def test_rat_examples():
-    assert rat(6, -4) == Fraction(-3, 2)
-    assert rat(6, -4).denominator == 2
-    assert rat(6, -4).numerator == -3
-    assert rat(0, 9) == 0
-    assert rat(0, 9).denominator == 1
-    assert rat(256, 1) == 256
-
-
-def test_rat_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        rat(1, 0)
 
 
 rationals = st.fractions(
@@ -91,14 +69,9 @@ def test_int_rat_roundtrip(x):
 
 
 def test_canonical_form_is_structural():
-    # equal values constructed differently compare equal
-    assert rat(2, 4) == rat(1, 2) == rat(-3, -6)
-
-
-def test_is_integral():
-    assert is_integral(5)
-    assert is_integral(Fraction(10, 2))
-    assert not is_integral(Fraction(1, 2))
+    # equal values constructed differently share one wire form
+    assert number_str(Fraction(2, 4)) == number_str(Fraction(-3, -6)) == "1/2"
+    assert number_str(Fraction(6, -4)) == "-3/2"
 
 
 def test_number_str_wire_form():
@@ -106,3 +79,65 @@ def test_number_str_wire_form():
     assert number_str(Fraction(5, 1)) == "5"
     assert number_str(Fraction(-3, 2)) == "-3/2"
     assert number_str(10**80) == str(10**80)
+
+
+def reference_decimal(x):
+    """Decimal digits of x assembled from 1000-digit chunks, each of which
+    str() renders below the interpreter's int/str digit limit."""
+    sign, x = ("-", -x) if x < 0 else ("", x)
+    chunks = []
+    while True:
+        x, chunk = divmod(x, 10 ** 1000)
+        chunks.append(chunk)
+        if not x:
+            break
+    return sign + str(chunks[-1]) + "".join(str(c).zfill(1000) for c in reversed(chunks[:-1]))
+
+
+BIG_INTS = [7 ** 12000, -(10 ** 10500), 3 ** 21000 + 1]  # 10k+ digits each
+
+
+@pytest.mark.parametrize("x", BIG_INTS, ids=["7^12000", "-10^10500", "3^21000+1"])
+def test_number_str_and_parse_int_past_the_digit_limit(x):
+    text = number_str(x)
+    assert text == reference_decimal(x)
+    assert number_str(Fraction(x)) == text
+    assert parse_int(text) == x
+    den = 13 * 11 ** 4500  # coprime to every x above
+    assert number_str(Fraction(x, den)) == f"{text}/{reference_decimal(den)}"
+    assert number_str(Fraction(5, den)) == f"5/{reference_decimal(den)}"
+
+
+@pytest.mark.parametrize("text", ["0", "-0012", "+7", " 42 ", "1_000", "\u0661\u0662"])
+def test_parse_int_accepts_what_int_accepts(text):
+    assert parse_int(text) == int(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1" * 5000, (10 ** 5000 - 1) // 9),
+    ("-" + "0" * 5000 + "12", -12),
+    (" +" + "9" * 5000 + "\n", 10 ** 5000 - 1),
+    ("1_" * 5000 + "1", (10 ** 5001 - 1) // 9),
+], ids=["ones", "zero-padded", "signed-spaced", "grouped"])
+def test_parse_int_past_the_digit_limit(text, value):
+    assert parse_int(text) == value
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("text", [
+    "1e5", "nan", "inf", "1.5", "", " ", "+", "1__0", "_1", "1_", "0x10", "12a",
+    LONG + "e5", LONG + ".5", LONG + "__1", "_" + LONG, LONG + "a", "--" + LONG,
+], ids=lambda text: text if len(text) < 20 else f"{text[:3]}...{text[-3:]}")
+def test_parse_int_rejects_what_int_rejects(text):
+    with pytest.raises(ValueError):
+        int(text)
+    with pytest.raises(ValueError):
+        parse_int(text)
+
+
+@given(st.integers() | st.fractions())
+def test_number_str_round_trips(x):
+    num, _, den = number_str(x).partition("/")
+    assert Fraction(parse_int(num), parse_int(den or "1")) == x

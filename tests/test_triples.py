@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fibquad.fibonacci import fib_window
-from fibquad.triples import Triple, is_pythagorean, primitivity, scale, triple_from_window
+from fibquad.triples import Triple, primitivity, scale, triple_from_window
 
 
 def test_triple_construction_validates_identity():
@@ -40,24 +40,6 @@ def test_window_sweep_always_yields_triples():
     # construction itself checks the identity, so surviving is the test
     for i in range(1, 201):
         triple_from_window(fib_window(i))
-
-
-def test_is_pythagorean_examples():
-    assert is_pythagorean(3, 4, 5)
-    assert not is_pythagorean(1, 1, 1)
-    assert is_pythagorean(5, 12, 13)
-    assert not is_pythagorean(0, 4, 4)
-    assert not is_pythagorean(3, 4, -5)
-
-
-def test_is_pythagorean_agrees_with_exhaustive_scan():
-    for c in range(1, 101):
-        c2 = c * c
-        for a in range(1, c + 1):
-            for b in range(a, c + 1):
-                expected = a * a + b * b == c2
-                assert is_pythagorean(a, b, c) == expected
-                assert is_pythagorean(b, a, c) == expected
 
 
 def test_primitivity_examples():
