@@ -32,17 +32,25 @@ ANALYSIS_COLUMNS = ["a", "b", "c", "kind", "x1", "x2", "vertex_x", "vertex_y", "
                     "integral_signed", "integral_abs", "p1", "p2", "p3"]
 
 
+def _integer(text: str) -> int:
+    """Any integer; argparse prints the message of a rejected one."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+
+
 def _nonneg(text: str) -> int:
-    value = parse_int(text)
+    value = _integer(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {number_str(value)}")
     return value
 
 
 def _positive(text: str) -> int:
-    value = parse_int(text)
+    value = _integer(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number_str(value)}")
     return value
 
 
@@ -87,7 +95,7 @@ def cmd_fib(args) -> int:
 
 def cmd_triples(args) -> int:
     if args.i_from > args.i_to:
-        raise ValueError(f"--from {args.i_from} exceeds --to {args.i_to}")
+        raise ValueError(f"--from {number_str(args.i_from)} exceeds --to {number_str(args.i_to)}")
     triples = []
     for i in range(args.i_from, args.i_to + 1):
         t = triple_from_window(fib_window(i))
@@ -192,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fib", help="Fibonacci term, optionally reduced modulo m")
     p.add_argument("--n", type=_nonneg, required=True, help="term index (>= 0)")
-    p.add_argument("--mod", type=parse_int, default=None, help="modulus (>= 2)")
+    p.add_argument("--mod", type=_integer, default=None, help="modulus (>= 2)")
     add_format(p)
     p.set_defaults(func=cmd_fib)
 
@@ -214,9 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(pb)
     pb.set_defaults(func=cmd_quad)
     pa = quad_sub.add_parser("analyze", help="analyze raw coefficients")
-    pa.add_argument("--a", type=parse_int, required=True)
-    pa.add_argument("--b", type=parse_int, required=True)
-    pa.add_argument("--c", type=parse_int, required=True)
+    pa.add_argument("--a", type=_integer, required=True)
+    pa.add_argument("--b", type=_integer, required=True)
+    pa.add_argument("--c", type=_integer, required=True)
     add_format(pa)
     pa.set_defaults(func=cmd_quad)
 

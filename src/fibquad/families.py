@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 from .fibonacci import FibWindow, fib_window
+from .numeric import number_str
 from .quadratic import (
     POSITIVE,
     TWO_DISTINCT,
@@ -47,7 +48,7 @@ class FamilyPoly:
 
 def _window_or_raise(i: int) -> FibWindow:
     if i < 1:
-        raise ValueError(f"family index must be >= 1 (i=0 degenerates), got {i}")
+        raise ValueError(f"family index must be >= 1 (i=0 degenerates), got {number_str(i)}")
     return fib_window(i)
 
 
@@ -96,7 +97,7 @@ def family_345(n: int, flavor: str) -> Tuple[Triple, QuadPoly]:
     its flavor-f leg (3+3n) or flavor-g leg (4+4n).
     """
     if n < 0:
-        raise ValueError(f"family member must be >= 0, got {n}")
+        raise ValueError(f"family member must be >= 0, got {number_str(n)}")
     if flavor not in (FLAVOR_F, FLAVOR_G):
         raise ValueError(f"flavor must be {FLAVOR_F!r} or {FLAVOR_G!r}, got {flavor!r}")
     t = scale(BASE_TRIPLE, n + 1)
@@ -111,8 +112,14 @@ def family_345_integral_abs(n: int, flavor: str) -> int:
 
 def _check_member(i: int, flavor: str, poly: QuadPoly, closed: RootPair):
     """One sweep step: solver agreement, integrality of the integral and
-    of each of its three per-term parts. Returns a counterexample dict or
-    None."""
+    of each of its three per-term parts.
+
+    Returns (counterexample dict or None, root-to-root integral of poly
+    between the closed roots), so callers can check the integral further
+    without recomputing it.
+    """
+    lo, hi = min(closed.x1, closed.x2), max(closed.x1, closed.x2)
+    total = integrate(poly, lo, hi)
     solved = solve_quadratic(poly)
     if solved.kind != TWO_DISTINCT or solved.x1 != closed.x1 or solved.x2 != closed.x2:
         return {
@@ -121,12 +128,10 @@ def _check_member(i: int, flavor: str, poly: QuadPoly, closed: RootPair):
             "problem": "solver roots differ from closed form",
             "closed": closed.to_dict(),
             "solved": solved.to_dict(),
-        }
-    lo, hi = min(closed.x1, closed.x2), max(closed.x1, closed.x2)
-    total = integrate(poly, lo, hi)
+        }, total
     p1, p2, p3 = integral_breakdown(poly, lo, hi)
     if p1 + p2 + p3 != total:
-        return {"i": str(i), "flavor": flavor, "problem": "breakdown does not sum to integral"}
+        return {"i": str(i), "flavor": flavor, "problem": "breakdown does not sum to integral"}, total
     for name, part in (("P1", p1), ("P2", p2), ("P3", p3), ("integral", total)):
         if part.denominator != 1:
             return {
@@ -134,8 +139,21 @@ def _check_member(i: int, flavor: str, poly: QuadPoly, closed: RootPair):
                 "flavor": flavor,
                 "problem": f"{name} is not an integer",
                 "value": str(part),
-            }
-    return None
+            }, total
+    return None, total
+
+
+def _sweep(i_max: int, mutate: Optional[PolyMutator]):
+    """Build each member of windows 1..i_max once, flavor f then g, and
+    check it; yields (member, checked poly, counterexample or None,
+    integral)."""
+    if i_max < 1:
+        raise ValueError(f"i_max must be >= 1, got {number_str(i_max)}")
+    for i in range(1, i_max + 1):
+        for member in (build_f(i), build_g(i)):
+            poly = member.poly if mutate is None else mutate(i, member.flavor, member.poly)
+            problem, total = _check_member(i, member.flavor, poly, member.closed_roots)
+            yield member, poly, problem, total
 
 
 def verify_theorem3(i_max: int, mutate: Optional[PolyMutator] = None) -> VerificationReport:
@@ -149,18 +167,8 @@ def verify_theorem3(i_max: int, mutate: Optional[PolyMutator] = None) -> Verific
     mutate, when given, is applied to each polynomial before checking;
     the fault-injection self-test uses it to prove the sweep can fail.
     """
-    if i_max < 1:
-        raise ValueError(f"i_max must be >= 1, got {i_max}")
     t0 = time.perf_counter()
-    counterexamples = []
-    for i in range(1, i_max + 1):
-        for member in (build_f(i), build_g(i)):
-            poly = member.poly
-            if mutate is not None:
-                poly = mutate(i, member.flavor, poly)
-            problem = _check_member(i, member.flavor, poly, member.closed_roots)
-            if problem is not None:
-                counterexamples.append(problem)
+    counterexamples = [problem for _, _, problem, _ in _sweep(i_max, mutate) if problem is not None]
     return make_report(
         "theorem3", f"windows 1..{i_max}, flavors f and g", counterexamples,
         time.perf_counter() - t0,

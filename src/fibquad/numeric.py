@@ -26,7 +26,7 @@ def isqrt_exact(x: int) -> Optional[int]:
     Raises ValueError for negative input.
     """
     if x < 0:
-        raise ValueError(f"isqrt_exact of negative value {x}")
+        raise ValueError(f"isqrt_exact of negative value {number_str(x)}")
     r = _isqrt(x)
     return r if r * r == x else None
 

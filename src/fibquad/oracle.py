@@ -1,13 +1,33 @@
-"""Independent brute-force oracles and the registered claim sweeps.
+"""Independent oracles and the registered claim sweeps.
 
-The oracles deliberately use different formulas than the main paths:
-Simpson's three-point rule instead of the antiderivative, an exhaustive
-scan instead of the window construction, direct substitution instead of
-the solver. A bug in one path then cannot confirm itself.
+The oracles use different arithmetic than the main paths: simpson_exact
+applies Simpson's three-point rule with Fraction operators, never the
+antiderivative or its integer kernel; root_check substitutes a root
+instead of solving; enumerate_triples scans every hypotenuse and shares
+nothing with the window construction (it is quadratic in the hypotenuse,
+so only the tests run it, on small windows).
+
+What each registered claim checks:
+
+- window-triples: the products (t0*t3, 2*t1*t2, t1^2 + t2^2) recomputed
+  inline satisfy the Pythagorean identity and equal triple_from_window;
+  a consistency check, not an independent oracle.
+- scaling: scaling a window triple by k scales every side and the side
+  gcd by exactly k.
+- roots: the solver's roots on the quadratic built from either leg equal
+  -hyp +/- other and are integers.
+- family345: roots, derivative root, vertex value and |integral| of the
+  scaled (3,4,5) family equal their closed forms.
+- mod3: F(4n) = 0 (mod 3) by a linear residue sweep, and every window
+  has exactly one term divisible by 3, at the position mod3_witness names.
+- theorem3: one pass over the f/g window members, each built once; per
+  member the solver, the integer-integral checks of families, Simpson
+  against that same integral and substitution of both closed roots.
 
 The claim registry drives the `verify` CLI subcommand and the
 fault-injection self-test: a verifier that cannot fail is not evidence,
-so the sweep accepts a deliberate coefficient mutation and must report it.
+so the theorem3 sweep accepts a deliberate coefficient mutation and must
+report it.
 """
 
 import math
@@ -233,24 +253,24 @@ def claim_mod3(config: SweepConfig) -> VerificationReport:
 
 
 def claim_theorem3(config: SweepConfig) -> VerificationReport:
-    """Integer-integral sweep, then an independent Simpson pass over the
-    same members; the configured fault, if any, is applied to both."""
+    """Integer-integral sweep with the independent oracles in the same
+    pass: each member is built once, the configured fault, if any, is
+    applied, and the sweep's own checks, Simpson's rule against the
+    sweep's integral and direct substitution of both closed roots all
+    read that one polynomial."""
     t0 = time.perf_counter()
     mutate = config.fault.apply if config.fault is not None else None
-    counterexamples = list(families.verify_theorem3(config.theorem3_max, mutate=mutate).counterexamples)
-    for i in range(1, config.theorem3_max + 1):
-        for member in (families.build_f(i), families.build_g(i)):
-            poly = member.poly
-            if mutate is not None:
-                poly = mutate(i, member.flavor, poly)
-            closed = member.closed_roots
-            lo, hi = min(closed.x1, closed.x2), max(closed.x1, closed.x2)
-            if simpson_exact(poly, lo, hi) != integrate(poly, lo, hi):
-                counterexamples.append({"i": str(i), "flavor": member.flavor,
-                                        "problem": "Simpson disagrees with antiderivative"})
-            if not (root_check(poly, closed.x1) and root_check(poly, closed.x2)):
-                counterexamples.append({"i": str(i), "flavor": member.flavor,
-                                        "problem": "closed-form roots fail direct evaluation"})
+    counterexamples = []
+    for member, poly, problem, total in families._sweep(config.theorem3_max, mutate):
+        i, flavor, closed = str(member.window.i), member.flavor, member.closed_roots
+        if problem is not None:
+            counterexamples.append(problem)
+        if simpson_exact(poly, min(closed.x1, closed.x2), max(closed.x1, closed.x2)) != total:
+            counterexamples.append({"i": i, "flavor": flavor,
+                                    "problem": "Simpson disagrees with antiderivative"})
+        if not (root_check(poly, closed.x1) and root_check(poly, closed.x2)):
+            counterexamples.append({"i": i, "flavor": flavor,
+                                    "problem": "closed-form roots fail direct evaluation"})
     return make_report(
         "theorem3", f"windows 1..{config.theorem3_max}, flavors f and g", counterexamples,
         time.perf_counter() - t0,

@@ -105,13 +105,13 @@ def build_quadratic(leg: int, hyp: int, orientation: str = POSITIVE) -> QuadPoly
     orientation returns the mirror (-leg, 2*leg*hyp, -leg**3).
     """
     if leg <= 0:
-        raise ValueError(f"leg must be positive, got {leg}")
+        raise ValueError(f"leg must be positive, got {number_str(leg)}")
     if leg >= hyp:
-        raise ValueError(f"need leg < hyp, got leg={leg}, hyp={hyp}")
+        raise ValueError(f"need leg < hyp, got leg={number_str(leg)}, hyp={number_str(hyp)}")
     if isqrt_exact(hyp * hyp - leg * leg) is None:
         raise ValueError(
-            f"hyp^2 - leg^2 = {hyp * hyp - leg * leg} is not a perfect square; "
-            f"(leg={leg}, hyp={hyp}) does not extend to a Pythagorean triple"
+            f"hyp^2 - leg^2 = {number_str(hyp * hyp - leg * leg)} is not a perfect square; "
+            f"(leg={number_str(leg)}, hyp={number_str(hyp)}) does not extend to a Pythagorean triple"
         )
     if orientation == POSITIVE:
         return QuadPoly(leg, 2 * leg * hyp, leg ** 3)
@@ -145,7 +145,8 @@ def roots_via_triple(leg: int, other: int, hyp: int) -> RootPair:
     its arithmetic, which makes the equality worth testing.
     """
     if not (leg > 0 and other > 0 and hyp > 0 and leg * leg + other * other == hyp * hyp):
-        raise ValueError(f"({leg}, {other}, {hyp}) is not a Pythagorean triple")
+        sides = ", ".join(map(number_str, (leg, other, hyp)))
+        raise ValueError(f"({sides}) is not a Pythagorean triple")
     return RootPair(Fraction(-hyp + other), Fraction(-hyp - other), TWO_DISTINCT)
 
 
@@ -155,9 +156,14 @@ def derivative(q: QuadPoly) -> Tuple[int, int]:
 
 
 def evaluate(q: QuadPoly, x) -> Fraction:
-    """Exact value of q at a rational (or integer) point."""
+    """Exact value of q at a rational (or integer) point.
+
+    With x = n/d, q(x)*d^2 = (a*n + b*d)*n + c*d^2 is an integer, so the
+    value is one Fraction built from integers.
+    """
     x = Fraction(x)
-    return (q.a * x + q.b) * x + q.c
+    n, d = x.numerator, x.denominator
+    return Fraction((q.a * n + q.b * d) * n + q.c * d * d, d * d)
 
 
 def vertex(q: QuadPoly) -> Tuple[Fraction, Fraction]:
@@ -166,23 +172,37 @@ def vertex(q: QuadPoly) -> Tuple[Fraction, Fraction]:
     return x, evaluate(q, x)
 
 
-def integrate(q: QuadPoly, lo, hi) -> Fraction:
-    """Definite integral via the antiderivative (a/3)x^3 + (b/2)x^2 + cx."""
+def _common_bounds(lo, hi) -> Tuple[int, int, int]:
+    """Integers (L, H, d) with lo = L/d and hi = H/d."""
     lo, hi = Fraction(lo), Fraction(hi)
+    return lo.numerator * hi.denominator, hi.numerator * lo.denominator, lo.denominator * hi.denominator
 
-    def antiderivative(x: Fraction) -> Fraction:
-        return Fraction(q.a, 3) * x ** 3 + Fraction(q.b, 2) * x ** 2 + q.c * x
 
-    return antiderivative(hi) - antiderivative(lo)
+def _antiderivative6(q: QuadPoly, n: int, d: int) -> int:
+    """6*F(n/d)*d^3 for the antiderivative F(x) = (a/3)x^3 + (b/2)x^2 + cx,
+    an integer: ((2a*n + 3b*d)*n + 6c*d^2)*n."""
+    return ((2 * q.a * n + 3 * q.b * d) * n + 6 * q.c * d * d) * n
+
+
+def integrate(q: QuadPoly, lo, hi) -> Fraction:
+    """Definite integral via the antiderivative (a/3)x^3 + (b/2)x^2 + cx,
+    in integer arithmetic over the bounds' common denominator and reduced
+    once at the end."""
+    low, high, d = _common_bounds(lo, hi)
+    return Fraction(_antiderivative6(q, high, d) - _antiderivative6(q, low, d), 6 * d * d * d)
 
 
 def integral_breakdown(q: QuadPoly, lo, hi) -> Tuple[Fraction, Fraction, Fraction]:
-    """Per-term integrals (quadratic, linear, constant); they sum to integrate()."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    p1 = Fraction(q.a, 3) * (hi ** 3 - lo ** 3)
-    p2 = Fraction(q.b, 2) * (hi ** 2 - lo ** 2)
-    p3 = Fraction(q.c) * (hi - lo)
-    return p1, p2, p3
+    """Per-term integrals (quadratic, linear, constant); they sum to integrate().
+
+    Each part, a/3*(hi^3 - lo^3), b/2*(hi^2 - lo^2) or c*(hi - lo), is
+    computed in integers over the bounds' common denominator and reduced
+    once.
+    """
+    low, high, d = _common_bounds(lo, hi)
+    return (Fraction(q.a * (high ** 3 - low ** 3), 3 * d ** 3),
+            Fraction(q.b * (high * high - low * low), 2 * d * d),
+            Fraction(q.c * (high - low), d))
 
 
 def analyze(q: QuadPoly) -> AnalysisReport:

@@ -25,12 +25,15 @@ class Triple:
 
     def __post_init__(self):
         if self.leg_a <= 0 or self.leg_b <= 0 or self.hyp <= 0:
-            raise ValueError(f"triple sides must be positive: {self.sides()}")
+            raise ValueError(f"triple sides must be positive: ({self._sides_str()})")
         if self.leg_a ** 2 + self.leg_b ** 2 != self.hyp ** 2:
-            raise ValueError(f"not a Pythagorean triple: {self.sides()}")
+            raise ValueError(f"not a Pythagorean triple: ({self._sides_str()})")
 
     def sides(self) -> Tuple[int, int, int]:
         return (self.leg_a, self.leg_b, self.hyp)
+
+    def _sides_str(self) -> str:
+        return ", ".join(map(number_str, self.sides()))
 
     def to_dict(self) -> Dict[str, object]:
         is_primitive, g = primitivity(self)
@@ -64,5 +67,5 @@ def primitivity(t: Triple) -> Tuple[bool, int]:
 def scale(t: Triple, k: int) -> Triple:
     """Triple with each side multiplied by k >= 1."""
     if k < 1:
-        raise ValueError(f"scale factor must be >= 1, got {k}")
+        raise ValueError(f"scale factor must be >= 1, got {number_str(k)}")
     return Triple(k * t.leg_a, k * t.leg_b, k * t.hyp)

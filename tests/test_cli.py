@@ -35,6 +35,14 @@ def test_fib_mod(capsys):
     assert code == 0 and out.strip() == "0"
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_fib_mod_at_a_huge_index(capsys, fmt):
+    # 10^18 is a multiple of 4 and F(4k) is divisible by 3
+    code, out, _ = run_cli(capsys, "fib", "--n", "1000000000000000000", "--mod", "3", "--format", fmt)
+    assert code == 0
+    assert (out.strip() if fmt == "table" else records(out, fmt)[0]["value"]) == "0"
+
+
 def test_fib_negative_index_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "fib", "--n", "-1")
     assert code == 2
@@ -313,6 +321,8 @@ def test_output_is_byte_exact(argv, tmp_path, capsys):
 def test_non_integer_argument_is_usage_error(capsys, argv, text):
     code, out, err = run_cli(capsys, *argv, text)
     assert code == 2 and out == "" and "invalid" in err
+    assert f"invalid integer value: {text!r}" in err
+    assert "_nonneg" not in err and "_positive" not in err and "parse_int" not in err
 
 
 # --- numbers past the interpreter's 4300-digit int/str limit ----------------
@@ -392,3 +402,27 @@ def test_quad_build_past_the_digit_limit(capsys, i, fmt):
                 "p3": l ** 3 * (hi - lo)}
         assert {k: parse_number(v) for k, v in got.items()} == want
         assert len(got["integral_abs"]) > 4300
+
+
+def test_quad_build_error_names_huge_operands(capsys):
+    leg, hyp = 7**6000, 7**6000 + 2
+    code, out, err = run_cli(capsys, "quad", "build", "--leg", number_str(leg), "--hyp", number_str(hyp))
+    assert code == 2 and out == ""
+    assert "is not a perfect square" in err and "Exceeds the limit" not in err
+    assert number_str(hyp * hyp - leg * leg) in err and f"hyp={number_str(hyp)})" in err
+    code, _, err = run_cli(capsys, "quad", "build", "--leg", number_str(hyp), "--hyp", number_str(leg))
+    assert code == 2 and f"need leg < hyp, got leg={number_str(hyp)}, hyp={number_str(leg)}" in err
+
+
+def test_triples_range_error_names_huge_operands(capsys):
+    start = 10**5000 + 1
+    code, out, err = run_cli(capsys, "triples", "--from", number_str(start), "--to", "3")
+    assert code == 2 and out == ""
+    assert f"error: --from {number_str(start)} exceeds --to 3" in err
+
+
+@pytest.mark.parametrize("argv", [("fib", "--n"), ("triples", "--from", "1", "--to")])
+def test_range_argument_error_names_huge_operands(capsys, argv):
+    value = -(10**5000)
+    code, out, err = run_cli(capsys, *argv, number_str(value))
+    assert code == 2 and out == "" and f"got {number_str(value)}" in err

@@ -80,11 +80,47 @@ def test_fib_mod_rejects_bad_modulus():
 
 
 def test_fib_mod_cross_check_full_precision():
-    limit = 1000
+    limit = 1999
     seq = [fib_iter(n) for n in range(limit + 1)]
-    for m in (2, 3, 5, 7, 12):
+    for m in (2, 3, 5, 7, 12, 97, 1000, 2**31 - 1, 10**9 + 7, 10**30 + 57):
         for n in range(0, limit + 1, 1):
             assert fib_mod(n, m) == seq[n] % m
+
+
+def test_fib_mod_is_logarithmic_in_the_index():
+    # F(4k) is divisible by 3, and 10^18 is a multiple of 4; a linear
+    # residue loop would never finish here
+    assert fib_mod(10**18, 3) == 0
+    assert fib_mod(10**18 + 1, 3) == fib_mod(1, 3) == 1
+    for m in (7, 1000, 4181):
+        period = pisano_period(m)
+        assert fib_mod(2**200 + 5, m) == fib_iter((2**200 + 5) % period) % m
+
+
+def pisano_period(m):
+    """Period of the Fibonacci residues mod m, by plain iteration."""
+    a, b, k = 0, 1, 0
+    while True:
+        a, b, k = b, (a + b) % m, k + 1
+        if (a, b) == (0, 1):
+            return k
+
+
+def test_fib_window_equals_validated_window():
+    for i in list(range(200)) + [1000, 3001]:
+        w = fib_window(i)
+        assert w == FibWindow(i, w.terms)
+        assert w.terms[:2] == (fib_iter(i), fib_iter(i + 1))
+    with pytest.raises(ValueError):
+        fib_window(-1)
+
+
+def test_index_errors_render_huge_operands():
+    huge = -(7**6000)
+    for call in (lambda: fib(huge), lambda: fib_window(huge), lambda: fib_mod(huge, 3),
+                 lambda: fib_mod(5, huge), lambda: FibWindow(huge, (1, 1, 2, 3))):
+        with pytest.raises(ValueError, match=r"got -3874717868664966452"):
+            call()
 
 
 def test_pisano_period_mod3_is_8():

@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from fibquad import families
 from fibquad.fibonacci import fib_window
 from fibquad.oracle import (
     CLAIM_ORDER,
@@ -108,6 +111,31 @@ def test_fault_on_other_index_leaves_rest_clean():
     report = run_claim("theorem3", config)
     bad = {ce["i"] for ce in report.counterexamples}
     assert bad == {"3"}
+
+
+# 18 fault reports of the theorem3 claim (flavor x coefficient x (window,
+# delta)), captured before the claim became a single pass; elapsed is zeroed.
+FAULT_GOLDEN = json.loads(Path(__file__).with_name("theorem3_faults_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_GOLDEN["reports"]))
+def test_theorem3_fault_reports_are_pinned(case):
+    flavor, index, coeff, delta = case.split()
+    fault = PolyFault(flavor, int(index), coeff, int(delta))
+    report = run_claim("theorem3", SweepConfig(theorem3_max=FAULT_GOLDEN["bound"], fault=fault)).to_dict()
+    assert {**report, "elapsed": 0} == FAULT_GOLDEN["reports"][case]
+
+
+def test_theorem3_builds_each_member_once(monkeypatch):
+    calls = {"f": [], "g": []}
+    for flavor, build in (("f", families.build_f), ("g", families.build_g)):
+        def counted(i, build=build, seen=calls[flavor]):
+            seen.append(i)
+            return build(i)
+        monkeypatch.setattr(families, f"build_{flavor}", counted)
+    n = 37
+    assert run_claim("theorem3", SweepConfig(theorem3_max=n, fault=PolyFault("g", 5, "b"))).counterexamples
+    assert calls == {"f": list(range(1, n + 1)), "g": list(range(1, n + 1))}
 
 
 def test_poly_fault_validates_coeff():

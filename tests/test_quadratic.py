@@ -173,6 +173,33 @@ def test_breakdown_sums_to_integral_random():
         assert p1 + p2 + p3 == integrate(q, lo, hi)
 
 
+def random_point(rng, integer):
+    num = rng.randint(-(10**30), 10**30)
+    return num if integer else Fraction(num, rng.randint(1, 10**12))
+
+
+def test_integer_kernels_equal_textbook_fraction_formulas():
+    rng = random.Random(2024)
+    for trial in range(600):
+        a = rng.choice((1, -1)) * rng.randint(1, 10**30)
+        b, c = rng.randint(-(10**30), 10**30), rng.randint(-(10**30), 10**30)
+        q = QuadPoly(a, b, c)
+        lo, hi = random_point(rng, trial % 3 == 0), random_point(rng, trial % 3 != 2)
+        flo, fhi = Fraction(lo), Fraction(hi)
+
+        def textbook(x):
+            return Fraction(a, 3) * x ** 3 + Fraction(b, 2) * x ** 2 + c * x
+
+        want_parts = (Fraction(a, 3) * (fhi ** 3 - flo ** 3), Fraction(b, 2) * (fhi ** 2 - flo ** 2),
+                      c * (fhi - flo))
+        got = integrate(q, lo, hi)
+        assert type(got) is Fraction and got == textbook(fhi) - textbook(flo)
+        parts = integral_breakdown(q, lo, hi)
+        assert all(type(p) is Fraction for p in parts) and parts == want_parts
+        value = evaluate(q, lo)
+        assert type(value) is Fraction and value == a * flo * flo + b * flo + c
+
+
 def test_analyze_examples():
     rep = analyze(QuadPoly(3, 30, 27))
     assert (rep.roots.x1, rep.roots.x2) == (-1, -9)
