@@ -12,7 +12,6 @@ from .families import (
     build_g,
     family_345,
     family_345_integral_abs,
-    verify_theorem3,
 )
 from .fibonacci import (
     FibWindow,
@@ -21,12 +20,12 @@ from .fibonacci import (
     fib_mod,
     fib_window,
     mod3_witness,
-    verify_fib4n_mod3,
 )
 from .numeric import isqrt_exact, number_str, parse_int
 from .oracle import (
     PolyFault,
     SweepConfig,
+    VerificationReport,
     enumerate_triples,
     root_check,
     run_all_claims,
@@ -52,7 +51,6 @@ from .quadratic import (
     solve_quadratic,
     vertex,
 )
-from .report import VerificationReport
 from .svgplot import render_quadratic_svg, write_quadratic_svg
 from .triples import Triple, primitivity, scale, triple_from_window
 

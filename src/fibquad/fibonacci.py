@@ -1,18 +1,16 @@
-"""Fibonacci terms, four-term windows, and the mod-3 divisibility sweep.
+"""Fibonacci terms and four-term windows.
 
 fib, fib_window and fib_mod share one fast-doubling loop, which gives
 F(n) and F(n+1) together in O(log n) steps. fib_mod reduces modulo m at
 every step, so it never materializes the full term and n = 10^18 is
-instant. verify_fib4n_mod3 is a plain linear sweep on purpose: it checks
-every index up to its bound.
+instant. The divisibility sweep F(4n) = 0 (mod 3) is the mod3 claim in
+oracle, and mod3_witness names the divisible term of a window.
 """
 
-import time
 from dataclasses import dataclass
 from typing import Tuple
 
 from .numeric import number_str
-from .report import VerificationReport, make_report
 
 
 class NoWitnessError(ArithmeticError):
@@ -100,26 +98,6 @@ def fib_mod(n: int, m: int) -> int:
         raise ValueError(f"modulus must be >= 2, got {number_str(m)}")
     _check_index(n)
     return _fib_pair(n, m)[0]
-
-
-def verify_fib4n_mod3(n_max: int) -> VerificationReport:
-    """Check F(4n) % 3 == 0 for every 1 <= n <= n_max.
-
-    Runs one modular pass up to index 4*n_max. A counterexample becomes a
-    report entry, never an exception.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {number_str(n_max)}")
-    t0 = time.perf_counter()
-    counterexamples = []
-    a, b = 0, 1
-    for idx in range(1, 4 * n_max + 1):
-        a, b = b, (a + b) % 3
-        if idx % 4 == 0 and a != 0:
-            counterexamples.append({"n": str(idx // 4), "index": str(idx), "residue": str(a)})
-    return make_report(
-        "fib4n-mod3", f"n in 1..{n_max}", counterexamples, time.perf_counter() - t0
-    )
 
 
 def mod3_witness(w: FibWindow) -> int:

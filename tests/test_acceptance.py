@@ -18,9 +18,8 @@ from fibquad.families import (
     build_g,
     family_345,
     family_345_integral_abs,
-    verify_theorem3,
 )
-from fibquad.fibonacci import fib_mod, fib_window, mod3_witness, verify_fib4n_mod3
+from fibquad.fibonacci import fib_mod, fib_window, mod3_witness
 from fibquad.oracle import PolyFault, SweepConfig, run_claim, simpson_exact
 from fibquad.quadratic import (
     NEGATIVE,
@@ -124,7 +123,7 @@ def test_criterion_4_theorem1_sweep_to_200():
 
 def test_criterion_5_mod3_lemma_and_witnesses():
     t0 = time.perf_counter()
-    sweep = verify_fib4n_mod3(10_000)
+    sweep = run_claim("mod3", SweepConfig(mod3_max=10_000, witness_max=500))
     ok = sweep.passed
     for n in (1, 17, 4444, 10_000):  # direct spot checks of the op itself
         ok = ok and fib_mod(4 * n, 3) == 0
@@ -139,7 +138,8 @@ def test_criterion_5_mod3_lemma_and_witnesses():
 
 def test_criterion_6_theorem3_sweep_to_100():
     t0 = time.perf_counter()
-    sweep = verify_theorem3(100)  # solver agreement + P1,P2,P3 and integral integrality
+    # solver agreement, P1,P2,P3 and integral integrality, Simpson, root substitution
+    sweep = run_claim("theorem3", SweepConfig(theorem3_max=100))
     ok = sweep.passed
 
     f2, g2 = build_f(2), build_g(2)

@@ -213,10 +213,9 @@ def test_verify_unknown_claim_is_usage_error(capsys):
 
 def test_verify_counterexample_exits_1_with_json(capsys, monkeypatch):
     from fibquad import oracle
-    from fibquad.report import make_report
 
     def failing_claim(config):
-        return make_report("mod3", "forced", [{"n": "1", "problem": "forced failure"}], 0.0)
+        return oracle.VerificationReport("mod3", "forced", [{"n": "1", "problem": "forced failure"}], 0.0)
 
     monkeypatch.setitem(oracle.CLAIMS, "mod3", failing_claim)
     code, out, _ = run_cli(capsys, "verify", "mod3")

@@ -9,10 +9,9 @@ from fibquad.families import (
     build_g,
     family_345,
     family_345_integral_abs,
-    verify_theorem3,
 )
 from fibquad.fibonacci import fib_window
-from fibquad.quadratic import QuadPoly, analyze, integrate, solve_quadratic
+from fibquad.quadratic import analyze, integrate, solve_quadratic
 
 
 def test_build_f_examples():
@@ -104,12 +103,6 @@ def test_window_product_divisible_by_3():
         assert (t0 * t1 * t2 * t3) % 3 == 0
 
 
-def test_theorem3_sweep_passes():
-    report = verify_theorem3(100)
-    assert report.passed
-    assert report.counterexamples == []
-
-
 def test_theorem3_spot_values():
     # golden values confirmed by the independent Simpson oracle before freezing
     f2 = build_f(2)
@@ -123,22 +116,6 @@ def test_theorem3_spot_values():
     assert integrate(f3.poly, f3.closed_roots.x2, f3.closed_roots.x1) == -576000
     g3 = build_g(3)
     assert integrate(g3.poly, g3.closed_roots.x2, g3.closed_roots.x1) == -163840
-
-
-def test_theorem3_mutation_is_caught():
-    def corrupt(i, flavor, poly):
-        if i == 4 and flavor == FLAVOR_F:
-            return QuadPoly(poly.a, poly.b + 1, poly.c)
-        return poly
-
-    report = verify_theorem3(10, mutate=corrupt)
-    assert not report.passed
-    assert any(ce["i"] == "4" and ce["flavor"] == "f" for ce in report.counterexamples)
-
-
-def test_verify_theorem3_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        verify_theorem3(0)
 
 
 def test_family_345_members():

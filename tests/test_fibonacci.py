@@ -9,8 +9,8 @@ from fibquad.fibonacci import (
     fib_mod,
     fib_window,
     mod3_witness,
-    verify_fib4n_mod3,
 )
+from fibquad.oracle import SweepConfig, run_claim
 
 
 def fib_iter(n):
@@ -131,16 +131,8 @@ def test_pisano_period_mod3_is_8():
     assert [n for n in range(16) if fib_mod(n, 3) == 0] == [0, 4, 8, 12]
 
 
-def test_verify_fib4n_mod3_passes():
-    for n_max in (1, 1000):
-        report = verify_fib4n_mod3(n_max)
-        assert report.passed
-        assert report.counterexamples == []
-        assert report.status == "pass"
-
-
 def test_verify_fib4n_mod3_report_json_shape():
-    d = verify_fib4n_mod3(10).to_dict()
+    d = run_claim("mod3", SweepConfig(mod3_max=10, witness_max=10)).to_dict()
     assert set(d) == {"claim", "range", "status", "counterexamples", "elapsed"}
     assert d["status"] == "pass"
 

@@ -11,6 +11,7 @@ from fibquad.oracle import (
     CLAIM_ORDER,
     PolyFault,
     SweepConfig,
+    VerificationReport,
     enumerate_triples,
     root_check,
     run_all_claims,
@@ -139,6 +140,27 @@ def test_theorem3_builds_each_member_once(monkeypatch):
 
 
 def test_poly_fault_validates_coeff():
-    fault = PolyFault("f", 1, "d")
     with pytest.raises(ValueError):
-        fault.apply(1, "f", QuadPoly(1, 2, 3))
+        PolyFault("f", 1, "d")
+
+
+@pytest.mark.parametrize("fault", [("h", 3, "a"), ("f", 3, "a", 0), ("f", 0, "b"), ("f", 500, "c")])
+def test_fault_that_cannot_fire_is_rejected(fault):
+    # each of these would leave every polynomial of a 20-window sweep intact
+    with pytest.raises(ValueError):
+        SweepConfig(theorem3_max=20, fault=PolyFault(*fault))
+
+
+@pytest.mark.parametrize("bound", ["triples_max", "scale_max", "roots_max", "family_max",
+                                   "mod3_max", "witness_max", "theorem3_max"])
+def test_sweep_config_rejects_empty_bound(bound):
+    with pytest.raises(ValueError, match=bound):
+        SweepConfig(**{bound: 0})
+
+
+def test_report_status_follows_counterexamples():
+    failed = VerificationReport("mod3", "forced", [{"n": "1"}])
+    assert failed.status == "fail" and failed.passed is False
+    clean = VerificationReport("mod3", "forced", [])
+    assert clean.status == "pass" and clean.passed is True
+    assert list(clean.to_dict()) == ["claim", "range", "status", "counterexamples", "elapsed"]
