@@ -15,7 +15,6 @@ from .families import (
 )
 from .fibonacci import (
     FibWindow,
-    NoWitnessError,
     fib,
     fib_mod,
     fib_window,

@@ -3,7 +3,7 @@
 
 Flavor f seeds the coefficients with the product leg t0*t3 of a window
 (t0, t1, t2, t3); flavor g with the doubled-product leg 2*t1*t2. The
-closed-form roots come straight from the window terms, never from the
+closed-form roots come straight from triple_from_window, never from the
 solver, so comparing them against the general solver is a genuine
 cross-check and not a tautology.
 """
@@ -15,7 +15,7 @@ from typing import Tuple
 from .fibonacci import FibWindow, fib_window
 from .numeric import number_str
 from .quadratic import POSITIVE, TWO_DISTINCT, QuadPoly, RootPair, build_quadratic
-from .triples import Triple, scale
+from .triples import Triple, scale, triple_from_window
 
 FLAVOR_F = "f"
 FLAVOR_G = "g"
@@ -32,17 +32,14 @@ class FamilyPoly:
 
 
 def _member(i: int, flavor: str) -> FamilyPoly:
-    """Member of either flavor: the seed leg is alpha = t0*t3 (f) or
-    beta = 2*t1*t2 (g), the other leg is the remaining one, and the closed
-    roots are -gamma + other and -gamma - other."""
-    if i < 1:
-        raise ValueError(f"family index must be >= 1 (i=0 degenerates), got {number_str(i)}")
+    """Member of either flavor from the window triple: the seed leg is
+    leg_a (f) or leg_b (g), and the closed roots are -hyp +/- the other
+    leg. fib_window rejects i < 0 and triple_from_window i = 0."""
     w = fib_window(i)
-    t0, t1, t2, t3 = w.terms
-    alpha, beta, gamma = t0 * t3, 2 * t1 * t2, t1 * t1 + t2 * t2
-    leg, other = (alpha, beta) if flavor == FLAVOR_F else (beta, alpha)
-    poly = QuadPoly(leg, 2 * leg * gamma, leg ** 3)
-    roots = RootPair(Fraction(-gamma + other), Fraction(-gamma - other), TWO_DISTINCT)
+    t = triple_from_window(w)
+    leg, other = (t.leg_a, t.leg_b) if flavor == FLAVOR_F else (t.leg_b, t.leg_a)
+    poly = QuadPoly(leg, 2 * leg * t.hyp, leg ** 3)
+    roots = RootPair(Fraction(-t.hyp + other), Fraction(-t.hyp - other), TWO_DISTINCT)
     return FamilyPoly(w, flavor, poly, roots)
 
 

@@ -1,48 +1,32 @@
 """Fibonacci terms and four-term windows.
 
-fib, fib_window and fib_mod share one fast-doubling loop, which gives
+fib, FibWindow and fib_mod share one fast-doubling loop, which gives
 F(n) and F(n+1) together in O(log n) steps. fib_mod reduces modulo m at
 every step, so it never materializes the full term and n = 10^18 is
-instant. The divisibility sweep F(4n) = 0 (mod 3) is the mod3 claim in
-oracle, and mod3_witness names the divisible term of a window.
+instant. A window is made only from its index, so its terms are
+canonical by construction. The divisibility sweep F(4n) = 0 (mod 3) is
+the mod3 claim in oracle, and mod3_witness names the divisible term of
+a window by the index rule, which that claim checks against a scan.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from .numeric import number_str
 
 
-class NoWitnessError(ArithmeticError):
-    """A window with no term divisible by 3; the divisibility lemma says
-    this state is unreachable, so raising it means something upstream is
-    producing malformed windows."""
-
-
-def _terms_str(terms) -> str:
-    return "(" + ", ".join(map(number_str, terms)) + ")"
-
-
 @dataclass(frozen=True)
 class FibWindow:
-    """Four consecutive Fibonacci terms starting at index i."""
+    """Four consecutive Fibonacci terms starting at index i >= 0, derived
+    from i by one doubling pass."""
 
     i: int
-    terms: Tuple[int, int, int, int]
+    terms: Tuple[int, int, int, int] = field(init=False)
 
     def __post_init__(self):
-        if self.i < 0:
-            raise ValueError(f"window index must be >= 0, got {number_str(self.i)}")
-        if len(self.terms) != 4:
-            raise ValueError(f"window needs exactly 4 terms, got {len(self.terms)}")
-        t0, t1, t2, t3 = self.terms
-        if t2 != t0 + t1 or t3 != t1 + t2:
-            raise ValueError(f"terms {_terms_str(self.terms)} do not satisfy the recurrence")
-        if (t0, t1) != _fib_pair(self.i):
-            raise ValueError(
-                f"terms {_terms_str(self.terms)} do not match the canonical sequence "
-                f"at index {number_str(self.i)}"
-            )
+        _check_index(self.i)
+        f0, f1 = _fib_pair(self.i)
+        object.__setattr__(self, "terms", (f0, f1, f0 + f1, f0 + 2 * f1))
 
 
 def _fib_pair(n: int, m: int = 0) -> Tuple[int, int]:
@@ -75,17 +59,8 @@ def fib(n: int) -> int:
 
 
 def fib_window(i: int) -> FibWindow:
-    """Window of four consecutive terms starting at index i.
-
-    The terms come from one doubling pass and are canonical by
-    construction, so the window skips FibWindow's re-derivation check.
-    """
-    _check_index(i)
-    f0, f1 = _fib_pair(i)
-    w = object.__new__(FibWindow)
-    object.__setattr__(w, "i", i)
-    object.__setattr__(w, "terms", (f0, f1, f0 + f1, f0 + 2 * f1))
-    return w
+    """Window of four consecutive terms starting at index i."""
+    return FibWindow(i)
 
 
 def fib_mod(n: int, m: int) -> int:
@@ -101,14 +76,9 @@ def fib_mod(n: int, m: int) -> int:
 
 
 def mod3_witness(w: FibWindow) -> int:
-    """Position (0..3) of a window term divisible by 3.
+    """Position (0..3) of the window term divisible by 3.
 
-    Every canonical window has exactly one such term for i >= 1 (indices
-    divisible by 4 land once in any four consecutive indices).
+    3 divides F(k) exactly when 4 divides k, so the divisible term sits
+    at the one index i + pos with pos = -i mod 4.
     """
-    for pos, term in enumerate(w.terms):
-        if term % 3 == 0:
-            return pos
-    raise NoWitnessError(
-        f"no term divisible by 3 in window at i={number_str(w.i)}: {_terms_str(w.terms)}"
-    )
+    return -w.i % 4

@@ -9,26 +9,28 @@ so only the tests run it, on small windows).
 
 What each registered claim checks:
 
-- window-triples: the products (t0*t3, 2*t1*t2, t1^2 + t2^2) recomputed
-  inline satisfy the Pythagorean identity and equal triple_from_window;
-  a consistency check, not an independent oracle.
+- window-triples: the paper's product form (t0*t3, 2*t1*t2, t1^2 + t2^2)
+  satisfies the Pythagorean identity and equals triple_from_window's
+  Euclid form on (t2, t1), and the side gcd follows the parity law: 2
+  when 3 divides i, else 1.
 - scaling: scaling a window triple by k scales every side and the side
   gcd by exactly k.
 - roots: the solver's roots on the quadratic built from either leg equal
   roots_via_triple's -hyp +/- other and are integers.
 - family345: roots, derivative root, vertex value and |integral| of the
   scaled (3,4,5) family equal their closed forms.
-- mod3: F(4n) = 0 (mod 3) by a linear residue sweep, and every window
-  has exactly one term divisible by 3, at the position mod3_witness names.
+- mod3: F(4n) = 0 (mod 3) by a linear residue sweep, and a scan of
+  every window finds exactly one term divisible by 3, at the position
+  mod3_witness derives from the index alone.
 - theorem3: one pass over the f/g window members, each built once; per
   member the solver against the closed roots, integrality of the
   root-to-root integral and of its parts P1, P2, P3, Simpson against that
   same integral and substitution of both closed roots.
 
-The claim registry drives the `verify` CLI subcommand and the
-fault-injection self-test: a verifier that cannot fail is not evidence,
-so the theorem3 sweep accepts a deliberate coefficient mutation and must
-report it.
+The claim registry drives the `verify` CLI subcommand. A verifier that
+cannot fail is not evidence, so each claim compares a shipped routine
+with a different computation, and the theorem3 sweep also accepts a
+deliberate coefficient mutation and must report it.
 """
 
 import math
@@ -51,6 +53,7 @@ from .quadratic import (
     integrate,
     roots_via_triple,
     solve_quadratic,
+    vertex,
 )
 from .triples import Triple, primitivity, scale, triple_from_window
 
@@ -176,22 +179,27 @@ class SweepConfig:
 
 
 def claim_window_triples(config: SweepConfig) -> VerificationReport:
-    """Window triples: recompute the three products inline and confirm
-    both the Pythagorean identity and agreement with triple_from_window."""
-    t0 = time.perf_counter()
+    """Window triples: the product form recomputed inline satisfies the
+    Pythagorean identity and equals triple_from_window, whose side gcd
+    is 2 exactly when 3 divides i (t1 and t2 both odd), else 1."""
+    start = time.perf_counter()
     counterexamples = []
     for i in range(1, config.triples_max + 1):
         w = fib_window(i)
-        f0, f1, f2, f3 = w.terms
-        alpha, beta, gamma = f0 * f3, 2 * f1 * f2, f1 * f1 + f2 * f2
+        t0, t1, t2, t3 = w.terms
+        alpha, beta, gamma = t0 * t3, 2 * t1 * t2, t1 * t1 + t2 * t2
         if alpha <= 0 or beta <= 0 or gamma <= 0 or alpha * alpha + beta * beta != gamma * gamma:
             counterexamples.append({"i": str(i), "problem": "alpha^2 + beta^2 != gamma^2"})
             continue
-        if triple_from_window(w).sides() != (alpha, beta, gamma):
+        t = triple_from_window(w)
+        if t.sides() != (alpha, beta, gamma):
             counterexamples.append({"i": str(i), "problem": "construction disagrees with direct products"})
+            continue
+        if primitivity(t)[1] != (2 if i % 3 == 0 else 1):
+            counterexamples.append({"i": str(i), "problem": "side gcd off the parity law"})
     return VerificationReport(
         "window-triples", f"windows 1..{config.triples_max}", counterexamples,
-        time.perf_counter() - t0,
+        time.perf_counter() - start,
     )
 
 
@@ -262,11 +270,11 @@ def claim_family345(config: SweepConfig) -> VerificationReport:
             if (rp.x1, rp.x2) != closed_roots[flavor](n):
                 counterexamples.append({"n": str(n), "flavor": flavor, "problem": "roots off closed form"})
                 continue
-            vx = Fraction(-q.b, 2 * q.a)
+            vx, vy = vertex(q)
             if vx != Fraction(-5 * (n + 1)):
                 counterexamples.append({"n": str(n), "flavor": flavor, "problem": "derivative root off -5(n+1)"})
                 continue
-            if evaluate(q, vx) != closed_vertex_y[flavor](n):
+            if vy != closed_vertex_y[flavor](n):
                 counterexamples.append({"n": str(n), "flavor": flavor, "problem": "vertex value off closed form"})
                 continue
             got = abs(integrate(q, rp.x2, rp.x1))
@@ -302,15 +310,15 @@ def claim_mod3(config: SweepConfig) -> VerificationReport:
     )
 
 
-def _check_member(i: int, flavor: str, poly: QuadPoly, closed: RootPair):
+def _check_member(i: int, flavor: str, poly: QuadPoly, closed: RootPair, lo: Fraction, hi: Fraction):
     """One sweep step: solver agreement, integrality of the integral and
-    of each of its three per-term parts.
+    of each of its three per-term parts; lo and hi are the closed roots
+    in order.
 
     Returns (counterexample dict or None, root-to-root integral of poly
     between the closed roots), so callers can check the integral further
     without recomputing it.
     """
-    lo, hi = min(closed.x1, closed.x2), max(closed.x1, closed.x2)
     total = integrate(poly, lo, hi)
     solved = solve_quadratic(poly)
     if solved.kind != TWO_DISTINCT or solved.x1 != closed.x1 or solved.x2 != closed.x2:
@@ -348,10 +356,11 @@ def claim_theorem3(config: SweepConfig) -> VerificationReport:
         for member in (families.build_f(i), families.build_g(i)):
             flavor, closed = member.flavor, member.closed_roots
             poly = member.poly if fault is None else fault.apply(i, flavor, member.poly)
-            problem, total = _check_member(i, flavor, poly, closed)
+            lo, hi = sorted((closed.x1, closed.x2))
+            problem, total = _check_member(i, flavor, poly, closed, lo, hi)
             if problem is not None:
                 counterexamples.append(problem)
-            if simpson_exact(poly, min(closed.x1, closed.x2), max(closed.x1, closed.x2)) != total:
+            if simpson_exact(poly, lo, hi) != total:
                 counterexamples.append({"i": str(i), "flavor": flavor,
                                         "problem": "Simpson disagrees with antiderivative"})
             if not (root_check(poly, closed.x1) and root_check(poly, closed.x2)):

@@ -2,16 +2,15 @@
 
 No plotting dependency: a fixed viewBox, a 256-sample polyline for the
 curve, a closed polygon for the region between the roots and the x axis,
-axis lines, and text labels at the roots and the vertex. Pixel placement
-uses floats; the figure is illustrative, the labels carry the exact
-values.
+axis lines, and text labels at the roots and the vertex. Pixels are
+placed with floats in root-span units, which stay small for operands of
+any size; the figure is illustrative, the labels carry the exact values.
 """
 
 from fractions import Fraction
-from typing import List, Tuple
 
 from .numeric import number_str
-from .quadratic import IRRATIONAL, QuadPoly, analyze, evaluate
+from .quadratic import IRRATIONAL, QuadPoly, solve_quadratic, vertex
 
 WIDTH = 640
 HEIGHT = 480
@@ -24,48 +23,47 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _val(q: QuadPoly, x: float) -> float:
-    return float(evaluate(q, Fraction(x)))
-
-
 def render_quadratic_svg(q: QuadPoly) -> str:
     """SVG document for q with the area between its roots shaded.
 
     Requires rational roots; the irrational-or-complex kind has no
     root-to-root region to draw.
     """
-    report = analyze(q)
-    if report.roots.kind == IRRATIONAL:
+    roots = solve_quadratic(q)
+    if roots.kind == IRRATIONAL:
         raise ValueError("plot needs rational roots; discriminant is not a perfect square")
+    vx, vy = vertex(q)
 
-    left = float(min(report.roots.x1, report.roots.x2))
-    right = float(max(report.roots.x1, report.roots.x2))
-    span = max(right - left, 1.0)
-    x_lo = left - span * MARGIN_FRAC
-    x_hi = right + span * MARGIN_FRAC
+    # In units u = (x - left)/span the roots sit at u = 0 and u = w <= 1
+    # and q(x) = a*span^2 * u*(u - w); y is drawn divided by |a|*span^2,
+    # which moves no pixel.
+    left, right = sorted((roots.x1, roots.x2))
+    span = max(right - left, 1)
+    w_exact = (right - left) / span
+    w = float(w_exact)
+    sign = 1 if q.a > 0 else -1
+    u_lo, u_hi = -MARGIN_FRAC, w + MARGIN_FRAC
 
-    xs = [x_lo + (x_hi - x_lo) * k / (SAMPLES - 1) for k in range(SAMPLES)]
-    ys = [_val(q, x) for x in xs]
+    us = [u_lo + (u_hi - u_lo) * k / (SAMPLES - 1) for k in range(SAMPLES)]
+    ys = [sign * u * (u - w) for u in us]
 
-    vy = float(report.vertex_y)
-    y_lo = min(0.0, vy, min(ys))
-    y_hi = max(0.0, vy, max(ys))
+    vu, vyu = w / 2, -sign * w * w / 4
+    y_lo = min(0.0, vyu, min(ys))
+    y_hi = max(0.0, vyu, max(ys))
     y_pad = (y_hi - y_lo) * MARGIN_FRAC or 1.0
     y_lo -= y_pad
     y_hi += y_pad
 
-    def sx(x: float) -> float:
-        return PAD + (x - x_lo) / (x_hi - x_lo) * (WIDTH - 2 * PAD)
+    def sx(u: float) -> float:
+        return PAD + (u - u_lo) / (u_hi - u_lo) * (WIDTH - 2 * PAD)
 
     def sy(y: float) -> float:
         return HEIGHT - PAD - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * PAD)
 
-    curve = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
+    curve = " ".join(f"{_fmt(sx(u))},{_fmt(sy(y))}" for u, y in zip(us, ys))
 
-    region_pts: List[Tuple[float, float]] = [(left, 0.0)]
-    region_pts += [(x, _val(q, x)) for x in xs if left <= x <= right]
-    region_pts.append((right, 0.0))
-    region = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in region_pts)
+    region_pts = [(0.0, 0.0)] + [(u, y) for u, y in zip(us, ys) if 0.0 <= u <= w] + [(w, 0.0)]
+    region = " ".join(f"{_fmt(sx(u))},{_fmt(sy(y))}" for u, y in region_pts)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -73,27 +71,29 @@ def render_quadratic_svg(q: QuadPoly) -> str:
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<polygon points="{region}" fill="#9ecae1" fill-opacity="0.6" stroke="none"/>',
         # x axis always crosses the view (the roots sit on it)
-        f'<line x1="{_fmt(sx(x_lo))}" y1="{_fmt(sy(0.0))}" x2="{_fmt(sx(x_hi))}" '
+        f'<line x1="{_fmt(sx(u_lo))}" y1="{_fmt(sy(0.0))}" x2="{_fmt(sx(u_hi))}" '
         f'y2="{_fmt(sy(0.0))}" stroke="black" stroke-width="1"/>',
     ]
-    if x_lo <= 0.0 <= x_hi:
+    axis_u = -left / span  # compared exactly: left may be far past the float range
+    if -Fraction(MARGIN_FRAC) <= axis_u <= w_exact + Fraction(MARGIN_FRAC):
+        ax = _fmt(sx(float(axis_u)))
         parts.append(
-            f'<line x1="{_fmt(sx(0.0))}" y1="{_fmt(sy(y_lo))}" x2="{_fmt(sx(0.0))}" '
+            f'<line x1="{ax}" y1="{_fmt(sy(y_lo))}" x2="{ax}" '
             f'y2="{_fmt(sy(y_hi))}" stroke="black" stroke-width="1"/>'
         )
     parts.append(f'<polyline points="{curve}" fill="none" stroke="#08519c" stroke-width="2"/>')
 
-    r1x, r2x = float(report.roots.x1), float(report.roots.x2)
+    r1x, r2x = (float((r - left) / span) for r in (roots.x1, roots.x2))
     parts += [
         f'<circle cx="{_fmt(sx(r1x))}" cy="{_fmt(sy(0.0))}" r="3" fill="#08519c"/>',
         f'<circle cx="{_fmt(sx(r2x))}" cy="{_fmt(sy(0.0))}" r="3" fill="#08519c"/>',
         f'<text x="{_fmt(sx(r1x))}" y="{_fmt(sy(0.0) - 8)}" font-size="12" '
-        f'text-anchor="middle">x1 = {number_str(report.roots.x1)}</text>',
+        f'text-anchor="middle">x1 = {number_str(roots.x1)}</text>',
         f'<text x="{_fmt(sx(r2x))}" y="{_fmt(sy(0.0) - 8)}" font-size="12" '
-        f'text-anchor="middle">x2 = {number_str(report.roots.x2)}</text>',
-        f'<circle cx="{_fmt(sx(float(report.vertex_x)))}" cy="{_fmt(sy(vy))}" r="3" fill="#a63603"/>',
-        f'<text x="{_fmt(sx(float(report.vertex_x)))}" y="{_fmt(sy(vy) + 16)}" font-size="12" '
-        f'text-anchor="middle">vertex ({number_str(report.vertex_x)}, {number_str(report.vertex_y)})</text>',
+        f'text-anchor="middle">x2 = {number_str(roots.x2)}</text>',
+        f'<circle cx="{_fmt(sx(vu))}" cy="{_fmt(sy(vyu))}" r="3" fill="#a63603"/>',
+        f'<text x="{_fmt(sx(vu))}" y="{_fmt(sy(vyu) + 16)}" font-size="12" '
+        f'text-anchor="middle">vertex ({number_str(vx)}, {number_str(vy)})</text>',
         "</svg>",
     ]
     return "\n".join(parts)

@@ -1,10 +1,10 @@
 """Pythagorean triples: window generation, primitivity, scaling.
 
-Windows of four consecutive Fibonacci terms always produce a valid triple,
-but not always a primitive one (i = 3 gives (16, 30, 34) with gcd 2), so
-primitivity is measured and reported, never assumed. Legs stay in
-generation order because the quadratic construction cares which leg seeds
-the coefficients.
+A window (t0, t1, t2, t3) gives the Euclid triple of the coprime pair
+(t2, t1): always valid, and primitive unless t1 and t2 are both odd,
+which happens exactly when 3 divides i (i = 3 gives (16, 30, 34) with
+gcd 2). Legs stay in generation order because the quadratic construction
+cares which leg seeds the coefficients.
 """
 
 from dataclasses import dataclass
@@ -47,15 +47,17 @@ class Triple:
 
 
 def triple_from_window(w: FibWindow) -> Triple:
-    """Triple (t0*t3, 2*t1*t2, t1^2 + t2^2) from window terms t0..t3.
+    """Triple (t0*t3, 2*t1*t2, t1^2 + t2^2) from window terms t0..t3, by
+    Euclid's formula on (m, n) = (t2, t1), since t0*t3 = m^2 - n^2.
 
     The window at i = 0 is rejected: its first term is 0, which collapses
     one leg.
     """
     if w.i == 0:
         raise ValueError("window at i=0 yields a zero leg; use i >= 1")
-    t0, t1, t2, t3 = w.terms
-    return Triple(t0 * t3, 2 * t1 * t2, t1 * t1 + t2 * t2)
+    _, n, m, _ = w.terms
+    m2, n2 = m * m, n * n
+    return Triple(m2 - n2, 2 * m * n, m2 + n2)
 
 
 def primitivity(t: Triple) -> Tuple[bool, int]:

@@ -403,6 +403,18 @@ def test_quad_build_past_the_digit_limit(capsys, i, fmt):
         assert len(got["integral_abs"]) > 4300
 
 
+@pytest.mark.parametrize("i", [300, 3000])
+def test_plot_past_the_float_range(capsys, tmp_path, i):
+    leg, other, h = window_triple(i)
+    out_path = tmp_path / "fig.svg"
+    code, _, _ = run_cli(capsys, "plot", "--leg", number_str(leg), "--hyp", number_str(h),
+                         "--out", str(out_path))
+    assert code == 0
+    svg = out_path.read_text()
+    assert f"x1 = {number_str(-h + other)}<" in svg and f"x2 = {number_str(-h - other)}<" in svg
+    assert f"vertex ({number_str(-h)}, {number_str(-leg * other * other)})" in svg
+
+
 def test_quad_build_error_names_huge_operands(capsys):
     leg, hyp = 7**6000, 7**6000 + 2
     code, out, err = run_cli(capsys, "quad", "build", "--leg", number_str(leg), "--hyp", number_str(hyp))

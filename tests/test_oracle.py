@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fibquad import families
+from fibquad import families, oracle
 from fibquad.fibonacci import fib_window
 from fibquad.oracle import (
     CLAIM_ORDER,
@@ -18,8 +18,8 @@ from fibquad.oracle import (
     run_claim,
     simpson_exact,
 )
-from fibquad.quadratic import QuadPoly, integrate, solve_quadratic
-from fibquad.triples import triple_from_window
+from fibquad.quadratic import QuadPoly, RootPair, integrate, solve_quadratic
+from fibquad.triples import Triple, triple_from_window
 
 FAST = SweepConfig(triples_max=30, scale_max=10, roots_max=20,
                    family_max=50, mod3_max=500, witness_max=50, theorem3_max=20)
@@ -137,6 +137,48 @@ def test_theorem3_builds_each_member_once(monkeypatch):
     n = 37
     assert run_claim("theorem3", SweepConfig(theorem3_max=n, fault=PolyFault("g", 5, "b"))).counterexamples
     assert calls == {"f": list(range(1, n + 1)), "g": list(range(1, n + 1))}
+
+
+def _wrong_at(match, wrong):
+    """Wrapper factory: the real routine, except that where match(*args)
+    holds its result r is replaced by wrong(r, *args)."""
+    return lambda real: lambda *args: wrong(real(*args), *args) if match(*args) else real(*args)
+
+
+HYP_3, HYP_6 = (triple_from_window(fib_window(i)).hyp for i in (3, 6))
+
+# One fault per claim other than theorem3 (which takes PolyFault): the
+# routine the claim checks is wrong at one location, and the claim must
+# fail there.
+ROUTINE_FAULTS = {
+    "window-triples/triple_from_window": (
+        oracle, "triple_from_window", {"i": "7"},
+        _wrong_at(lambda w: w.i == 7, lambda t, w: Triple(t.leg_b, t.leg_a, t.hyp))),
+    "window-triples/primitivity": (
+        oracle, "primitivity", {"i": "6"},
+        _wrong_at(lambda t: t.hyp == HYP_6, lambda r, t: (True, 1))),
+    "scaling/scale": (
+        oracle, "scale", {"k": "3"},
+        _wrong_at(lambda t, k: k == 3, lambda s, t, k: t)),
+    "roots/roots_via_triple": (
+        oracle, "roots_via_triple", {"i": "3"},
+        _wrong_at(lambda leg, other, hyp: hyp == HYP_3, lambda rp, *sides: RootPair(rp.x2, rp.x1, rp.kind))),
+    "family345/family_345_integral_abs": (
+        families, "family_345_integral_abs", {"n": "5"},
+        _wrong_at(lambda n, flavor: n == 5, lambda v, n, flavor: v + 1)),
+    "mod3/mod3_witness": (
+        oracle, "mod3_witness", {"i": "9"},
+        _wrong_at(lambda w: w.i == 9, lambda pos, w: (pos + 1) % 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTINE_FAULTS))
+def test_every_claim_fails_on_a_wrong_routine(monkeypatch, case):
+    module, name, location, wrap = ROUTINE_FAULTS[case]
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    report = run_claim(case.split("/")[0], FAST)
+    assert report.status == "fail"
+    assert {k: report.counterexamples[0].get(k) for k in location} == location
 
 
 def test_poly_fault_validates_coeff():

@@ -1,0 +1,40 @@
+import hashlib
+
+import pytest
+
+from fibquad.fibonacci import fib_window
+from fibquad.quadratic import NEGATIVE, POSITIVE, QuadPoly, build_quadratic
+from fibquad.svgplot import render_quadratic_svg
+from fibquad.triples import triple_from_window
+
+
+def window_poly(i, leg_name, orientation):
+    t = triple_from_window(fib_window(i))
+    return build_quadratic(getattr(t, leg_name), t.hyp, orientation)
+
+
+# sha256 of the SVG text, captured from the renderer that sampled q in
+# x units through exact rationals; drawing in root-span units moves no
+# pixel of these figures.
+PINNED = [
+    (lambda: build_quadratic(3, 5, NEGATIVE), "9fca390a75e6f2ed244c4a39cea618fd78ed5f22b84e8512f6f2d8d0f70ecd06"),
+    (lambda: build_quadratic(4, 5, POSITIVE), "9d5e4eaf56b26bf4535025b3373ed402d07d6965aa9aa04b754a3f9d9cde59cd"),
+    (lambda: window_poly(20, "leg_b", POSITIVE), "8ce6bad5c14233ef66cd09449cbe8a16fefffe1779a4269d84db3a4e6e72eff9"),
+    (lambda: window_poly(200, "leg_a", NEGATIVE), "f29e7ad2f9ff2cefdeff81ef128946f6d171c60f9056708ca1726c3275ad3075"),
+    (lambda: QuadPoly(1, -2, 1), "a123463d9a1c505a09c246b2d37583e1e4bf41fbfb734e551e3bbbcfaa007687"),
+    (lambda: QuadPoly(6, -5, 1), "61bd4d56176e8ccedcd96f42af64c4bbb192860afe924f4ee64899e754325599"),
+    (lambda: QuadPoly(1, -2000001, 1000001000000), "a9983e10bfc05556bd29ae7fe6ecf888331e336589f71f6893be22d1df8255bd"),
+    (lambda: QuadPoly(1, 0, -1), "22f1cafae0a053edf80e30ee4f79a9c79db6b75e076e1b6070269789c32488b6"),
+    (lambda: QuadPoly(2, -1, -1), "508f981dc6c9ff9324f75c7fcd4af070d99ecf7eca7a57bae8dd7dcc74ca26cc"),
+    (lambda: QuadPoly(-5, 0, 20), "58eda8b3b99b941d6a270fd54e3c7f13405ff662b3f2b7ed11babc6815552da9"),
+]
+
+
+@pytest.mark.parametrize("make, digest", PINNED)
+def test_svg_bytes_are_pinned(make, digest):
+    assert hashlib.sha256(render_quadratic_svg(make()).encode()).hexdigest() == digest
+
+
+def test_irrational_roots_are_rejected():
+    with pytest.raises(ValueError, match="rational roots"):
+        render_quadratic_svg(QuadPoly(1, 0, -2))
