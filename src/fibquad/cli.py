@@ -2,9 +2,10 @@
 analysis, family tables, verification sweeps, and SVG figures.
 
 Exit codes: 0 success (all claims pass), 1 verification counterexample,
-2 usage or input error. Every subcommand takes --format json|csv|table
-and prints through one emitter. Numbers of any length are emitted and
-accepted as exact decimal strings, rationals as "num/den".
+2 usage or input error, 3 internal error (an unexpected exception). Every
+subcommand takes --format json|csv|table and prints through one emitter.
+Numbers of any length are emitted and accepted as exact decimal strings,
+rationals as "num/den".
 """
 
 import argparse
@@ -25,6 +26,7 @@ from .triples import primitivity, scale, triple_from_window
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 FORMATS = ("table", "json", "csv")
 
@@ -261,6 +263,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug, never a counterexample; Ctrl-C still propagates
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

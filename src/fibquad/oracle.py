@@ -1,11 +1,12 @@
 """Independent oracles and the registered claim sweeps.
 
 The oracles use different arithmetic than the main paths: simpson_exact
-applies Simpson's three-point rule with Fraction operators, never the
-antiderivative or its integer kernel; root_check substitutes a root
-instead of solving; enumerate_triples scans every hypotenuse and shares
-nothing with the window construction (it is quadratic in the hypotenuse,
-so only the tests run it, on small windows).
+applies Simpson's three-point rule through its own integer kernel
+_simpson6, built from point values and never from the antiderivative or
+its kernel _antiderivative6; root_check substitutes a root instead of
+solving; enumerate_triples scans every hypotenuse and shares nothing with
+the window construction (it is quadratic in the hypotenuse, so only the
+tests run it, on small windows).
 
 What each registered claim checks:
 
@@ -25,7 +26,10 @@ What each registered claim checks:
 - theorem3: one pass over the f/g window members, each built once; per
   member the solver against the closed roots, integrality of the
   root-to-root integral and of its parts P1, P2, P3, Simpson against that
-  same integral and substitution of both closed roots.
+  same integral and substitution of both closed roots. Every check runs
+  in plain integers on the library's own kernels (the solver's
+  discriminant root, _antiderivative6, _breakdown6 and _simpson6), and a
+  Fraction is built only to report a counterexample.
 
 The claim registry drives the `verify` CLI subcommand. A verifier that
 cannot fail is not evidence, so each claim compares a shipped routine
@@ -39,17 +43,14 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
-from . import families
+from . import families, quadratic
 from .fibonacci import fib_window, mod3_witness
 from .numeric import number_str
 from .quadratic import (
     POSITIVE,
-    TWO_DISTINCT,
     QuadPoly,
-    RootPair,
     build_quadratic,
     evaluate,
-    integral_breakdown,
     integrate,
     roots_via_triple,
     solve_quadratic,
@@ -86,19 +87,29 @@ class VerificationReport:
         }
 
 
+def _simpson6(q: QuadPoly, low: int, high: int, d: int) -> int:
+    """6*d^3 times Simpson's rule from low/d to high/d, an integer.
+
+    With q~(n) = (a*n + b*d)*n + c*d^2 = q(n/d)*d^2 and M = L + H, the
+    midpoint term 4*q(M/2d)*d^2 is (a*M + 2b*d)*M + 4c*d^2, so
+    6*S*d^3 = (H - L)*(q~(L) + q~(H) + (a*M + 2b*d)*M + 4c*d^2).
+    """
+    a, b, c = q.a, q.b, q.c
+    bd, cd2, m = b * d, c * d * d, low + high
+    return (high - low) * ((a * low + bd) * low + (a * high + bd) * high + (a * m + 2 * bd) * m + 6 * cd2)
+
+
 def simpson_exact(q: QuadPoly, lo, hi) -> Fraction:
     """Three-point Newton-Cotes rule on exact rationals.
 
-    Exact for polynomials of degree <= 3 and computed without the
+    Exact for polynomials of degree <= 3 and computed from point values
+    over the least common denominator of the bounds, never from the
     antiderivative, so it is a genuinely independent check on integrate().
     """
     lo, hi = Fraction(lo), Fraction(hi)
-    mid = (lo + hi) / 2
-
-    def value(x: Fraction) -> Fraction:
-        return q.a * x * x + q.b * x + q.c
-
-    return (hi - lo) / 6 * (value(lo) + 4 * value(mid) + value(hi))
+    d = math.lcm(lo.denominator, hi.denominator)
+    low, high = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    return Fraction(_simpson6(q, low, high, d), 6 * d * d * d)
 
 
 def root_check(q: QuadPoly, r) -> bool:
@@ -310,60 +321,57 @@ def claim_mod3(config: SweepConfig) -> VerificationReport:
     )
 
 
-def _check_member(i: int, flavor: str, poly: QuadPoly, closed: RootPair, lo: Fraction, hi: Fraction):
-    """One sweep step: solver agreement, integrality of the integral and
-    of each of its three per-term parts; lo and hi are the closed roots
-    in order.
-
-    Returns (counterexample dict or None, root-to-root integral of poly
-    between the closed roots), so callers can check the integral further
-    without recomputing it.
-    """
-    total = integrate(poly, lo, hi)
-    solved = solve_quadratic(poly)
-    if solved.kind != TWO_DISTINCT or solved.x1 != closed.x1 or solved.x2 != closed.x2:
-        return {
-            "i": str(i),
-            "flavor": flavor,
-            "problem": "solver roots differ from closed form",
-            "closed": closed.to_dict(),
-            "solved": solved.to_dict(),
-        }, total
-    p1, p2, p3 = integral_breakdown(poly, lo, hi)
-    if p1 + p2 + p3 != total:
-        return {"i": str(i), "flavor": flavor, "problem": "breakdown does not sum to integral"}, total
-    for name, part in (("P1", p1), ("P2", p2), ("P3", p3), ("integral", total)):
-        if part.denominator != 1:
-            return {
-                "i": str(i),
-                "flavor": flavor,
-                "problem": f"{name} is not an integer",
-                "value": str(part),
-            }, total
-    return None, total
-
-
 def claim_theorem3(config: SweepConfig) -> VerificationReport:
     """Integer-integral sweep with the independent oracles in the same
     pass: each member of windows 1..theorem3_max is built once, flavor f
-    then g, the configured fault, if any, is applied, and the member
-    checks, Simpson's rule against their integral and direct substitution
-    of both closed roots all read that one polynomial."""
+    then g, the configured fault, if any, is applied, and every check
+    reads that one polynomial.
+
+    The closed roots x1 = -hyp + other > x2 = -hyp - other are integers,
+    so each check runs in plain ints on the library's own kernels, scaled
+    by 6 where a value may be a third or a half: the discriminant root r
+    against 2a*x = -b +/- r, the integral 6*I from _antiderivative6, its
+    parts from _breakdown6 summing to it and each divisible by 6,
+    Simpson's 6*S from its own kernel against 6*I, and substitution
+    (a*x + b)*x + c == 0 of both closed roots. A Fraction is built only
+    to report a counterexample.
+    """
     t0 = time.perf_counter()
     fault = config.fault
+    # Read at call time, so that a kernel swapped on its module is the one checked.
+    disc_root, antiderivative6, breakdown6 = (
+        quadratic._discriminant_root, quadratic._antiderivative6, quadratic._breakdown6)
     counterexamples = []
     for i in range(1, config.theorem3_max + 1):
         for member in (families.build_f(i), families.build_g(i)):
             flavor, closed = member.flavor, member.closed_roots
             poly = member.poly if fault is None else fault.apply(i, flavor, member.poly)
-            lo, hi = sorted((closed.x1, closed.x2))
-            problem, total = _check_member(i, flavor, poly, closed, lo, hi)
-            if problem is not None:
-                counterexamples.append(problem)
-            if simpson_exact(poly, lo, hi) != total:
+            a, b, c = poly.a, poly.b, poly.c
+            x1, x2 = closed.x1.numerator, closed.x2.numerator
+            lo, hi = x2, x1
+            total6 = antiderivative6(poly, hi, 1) - antiderivative6(poly, lo, 1)
+            r = disc_root(poly)
+            if not r or -b + r != 2 * a * x1 or -b - r != 2 * a * x2:  # r None: no rational root, 0: double
+                counterexamples.append({"i": str(i), "flavor": flavor,
+                                        "problem": "solver roots differ from closed form",
+                                        "closed": closed.to_dict(),
+                                        "solved": solve_quadratic(poly).to_dict()})
+            else:
+                parts6 = breakdown6(poly, lo, hi, 1)
+                if sum(parts6) != total6:
+                    counterexamples.append({"i": str(i), "flavor": flavor,
+                                            "problem": "breakdown does not sum to integral"})
+                else:
+                    for name, value6 in zip(("P1", "P2", "P3", "integral"), (*parts6, total6)):
+                        if value6 % 6:
+                            counterexamples.append({"i": str(i), "flavor": flavor,
+                                                    "problem": f"{name} is not an integer",
+                                                    "value": str(Fraction(value6, 6))})
+                            break
+            if _simpson6(poly, lo, hi, 1) != total6:
                 counterexamples.append({"i": str(i), "flavor": flavor,
                                         "problem": "Simpson disagrees with antiderivative"})
-            if not (root_check(poly, closed.x1) and root_check(poly, closed.x2)):
+            if (a * x1 + b) * x1 + c or (a * x2 + b) * x2 + c:
                 counterexamples.append({"i": str(i), "flavor": flavor,
                                         "problem": "closed-form roots fail direct evaluation"})
     return VerificationReport(

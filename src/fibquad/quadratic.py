@@ -120,16 +120,20 @@ def build_quadratic(leg: int, hyp: int, orientation: str = POSITIVE) -> QuadPoly
     raise ValueError(f"orientation must be {POSITIVE!r} or {NEGATIVE!r}, got {orientation!r}")
 
 
+def _discriminant_root(q: QuadPoly) -> Optional[int]:
+    """r >= 0 with r*r == b^2 - 4ac, or None when the discriminant is
+    negative or not a perfect square; the roots are then (-b +/- r)/(2a)."""
+    disc = q.b * q.b - 4 * q.a * q.c
+    return None if disc < 0 else isqrt_exact(disc)
+
+
 def solve_quadratic(q: QuadPoly) -> RootPair:
     """Exact rational roots, or the irrational-or-complex kind.
 
     Roots are materialized only when the discriminant is a perfect
     square; nothing is ever approximated.
     """
-    disc = q.b * q.b - 4 * q.a * q.c
-    if disc < 0:
-        return RootPair(None, None, IRRATIONAL)
-    r = isqrt_exact(disc)
+    r = _discriminant_root(q)
     if r is None:
         return RootPair(None, None, IRRATIONAL)
     if r == 0:
@@ -192,6 +196,15 @@ def integrate(q: QuadPoly, lo, hi) -> Fraction:
     return Fraction(_antiderivative6(q, high, d) - _antiderivative6(q, low, d), 6 * d * d * d)
 
 
+def _breakdown6(q: QuadPoly, low: int, high: int, d: int) -> Tuple[int, int, int]:
+    """6*d^3 times each per-term integral from low/d to high/d, all
+    integers: 2a*(H^3 - L^3), 3b*(H^2 - L^2)*d and 6c*(H - L)*d^2."""
+    high2, low2 = high * high, low * low
+    return (2 * q.a * (high2 * high - low2 * low),
+            3 * q.b * (high2 - low2) * d,
+            6 * q.c * (high - low) * d * d)
+
+
 def integral_breakdown(q: QuadPoly, lo, hi) -> Tuple[Fraction, Fraction, Fraction]:
     """Per-term integrals (quadratic, linear, constant); they sum to integrate().
 
@@ -200,9 +213,9 @@ def integral_breakdown(q: QuadPoly, lo, hi) -> Tuple[Fraction, Fraction, Fractio
     once.
     """
     low, high, d = _common_bounds(lo, hi)
-    return (Fraction(q.a * (high ** 3 - low ** 3), 3 * d ** 3),
-            Fraction(q.b * (high * high - low * low), 2 * d * d),
-            Fraction(q.c * (high - low), d))
+    scale = 6 * d * d * d
+    p1, p2, p3 = _breakdown6(q, low, high, d)
+    return Fraction(p1, scale), Fraction(p2, scale), Fraction(p3, scale)
 
 
 def analyze(q: QuadPoly) -> AnalysisReport:

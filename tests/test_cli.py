@@ -225,6 +225,30 @@ def test_verify_counterexample_exits_1_with_json(capsys, monkeypatch):
     assert payload[0]["counterexamples"][0]["problem"] == "forced failure"
 
 
+def test_unexpected_exception_exits_3_not_1(capsys, monkeypatch):
+    from fibquad import oracle
+
+    def broken_claim(name, config=None):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(oracle, "run_claim", broken_claim)
+    code, out, err = run_cli(capsys, "verify", "theorem3")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: ZeroDivisionError: division by zero\n"
+
+
+def test_keyboard_interrupt_is_not_swallowed(capsys, monkeypatch):
+    from fibquad import oracle
+
+    def interrupted(name, config=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(oracle, "run_claim", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "theorem3"])
+
+
 def test_verify_csv_has_header(capsys):
     code, out, _ = run_cli(capsys, "verify", "roots", "--max", "10", "--format", "csv")
     rows = list(csv.reader(io.StringIO(out)))

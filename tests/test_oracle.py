@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fibquad import families, oracle
+from fibquad import families, oracle, quadratic
 from fibquad.fibonacci import fib_window
 from fibquad.oracle import (
     CLAIM_ORDER,
@@ -179,6 +179,44 @@ def test_every_claim_fails_on_a_wrong_routine(monkeypatch, case):
     report = run_claim(case.split("/")[0], FAST)
     assert report.status == "fail"
     assert {k: report.counterexamples[0].get(k) for k in location} == location
+
+
+G7 = families.build_g(7)
+G7_HI = max(G7.closed_roots.x1, G7.closed_roots.x2)
+
+# One fault per kernel the theorem3 claim reads, each wrong at member g/7
+# only, with the counterexamples the claim must then report, in order. A
+# wrong antiderivative must also trip Simpson, which shows that Simpson's
+# kernel does not read it.
+KERNEL_FAULTS = {
+    "quadratic._discriminant_root": (
+        quadratic, "_discriminant_root",
+        _wrong_at(lambda q: q == G7.poly, lambda r, q: r + 2),
+        ["solver roots differ from closed form"]),
+    "quadratic._antiderivative6": (
+        quadratic, "_antiderivative6",
+        _wrong_at(lambda q, n, d: q == G7.poly and n == G7_HI, lambda v, *args: v + 6),
+        ["breakdown does not sum to integral", "Simpson disagrees with antiderivative"]),
+    "quadratic._breakdown6": (
+        quadratic, "_breakdown6",
+        _wrong_at(lambda q, low, high, d: q == G7.poly,
+                  lambda parts, *args: (parts[0] + 3, parts[1] - 3, parts[2])),
+        ["P1 is not an integer"]),
+    "oracle._simpson6": (
+        oracle, "_simpson6",
+        _wrong_at(lambda q, low, high, d: q == G7.poly, lambda v, *args: v - 6),
+        ["Simpson disagrees with antiderivative"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_FAULTS))
+def test_theorem3_fails_on_a_wrong_kernel(monkeypatch, case):
+    module, name, wrap, problems = KERNEL_FAULTS[case]
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    report = run_claim("theorem3", FAST)
+    assert report.status == "fail"
+    assert [(ce["i"], ce["flavor"]) for ce in report.counterexamples] == [("7", "g")] * len(problems)
+    assert [ce["problem"] for ce in report.counterexamples] == problems
 
 
 def test_poly_fault_validates_coeff():

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from fibquad.oracle import _simpson6, simpson_exact
 from fibquad.quadratic import (
     DOUBLE,
     IRRATIONAL,
@@ -10,6 +12,8 @@ from fibquad.quadratic import (
     POSITIVE,
     TWO_DISTINCT,
     QuadPoly,
+    RootPair,
+    _discriminant_root,
     analyze,
     build_quadratic,
     derivative,
@@ -198,6 +202,59 @@ def test_integer_kernels_equal_textbook_fraction_formulas():
         assert all(type(p) is Fraction for p in parts) and parts == want_parts
         value = evaluate(q, lo)
         assert type(value) is Fraction and value == a * flo * flo + b * flo + c
+
+
+def kernel_polys(rng):
+    """Quadratics of every root kind, with a < 0 as often as a > 0: fixed
+    double-root, negative-discriminant and non-square cases, products of
+    random rational linear factors (square discriminant, sometimes a
+    double root), and random coefficients (almost never a square)."""
+    polys = [QuadPoly(1, -2, 1), QuadPoly(-4, 12, -9), QuadPoly(1, 0, 1), QuadPoly(-2, 1, -3),
+             QuadPoly(1, 0, -2), QuadPoly(-3, 7, 5)]
+    for trial in range(300):
+        sign = rng.choice((1, -1))
+        k, l = rng.randint(1, 10**12), rng.randint(1, 10**12)
+        r1, r2 = rng.randint(-(10**15), 10**15), rng.randint(-(10**15), 10**15)
+        if trial % 5 == 0:
+            l, r2 = k, r1
+        polys.append(QuadPoly(sign * k * l, -sign * (k * r2 + l * r1), sign * r1 * r2))
+        polys.append(QuadPoly(sign * rng.randint(1, 10**30), rng.randint(-(10**30), 10**30),
+                              rng.randint(-(10**30), 10**30)))
+    return polys
+
+
+def test_solver_and_simpson_kernels_equal_textbook_fraction_formulas():
+    rng = random.Random(2026)
+    kinds = set()
+    for q in kernel_polys(rng):
+        a, b, c = q.coeffs()
+        disc = b * b - 4 * a * c
+        r = _discriminant_root(q)
+        square = disc >= 0 and math.isqrt(disc) ** 2 == disc
+        assert (r is not None) == square
+        roots = solve_quadratic(q)
+        if r is None:
+            assert roots == RootPair(None, None, IRRATIONAL)
+        else:
+            assert r >= 0 and r * r == disc
+            x1, x2 = Fraction(-b + r, 2 * a), Fraction(-b - r, 2 * a)
+            assert all(a * x * x + b * x + c == 0 for x in (x1, x2))
+            assert roots == RootPair(x1, x2, DOUBLE if r == 0 else TWO_DISTINCT)
+        kinds.add((roots.kind, a < 0))
+
+        lo, hi = random_point(rng, rng.random() < 0.3), random_point(rng, rng.random() < 0.3)
+        flo, fhi = Fraction(lo), Fraction(hi)
+
+        def value(x):
+            return a * x * x + b * x + c
+
+        want = (fhi - flo) / 6 * (value(flo) + 4 * value((flo + fhi) / 2) + value(fhi))
+        got = simpson_exact(q, lo, hi)
+        assert type(got) is Fraction and got == want == integrate(q, lo, hi)
+        d = flo.denominator * fhi.denominator
+        low, high = flo.numerator * fhi.denominator, fhi.numerator * flo.denominator
+        assert _simpson6(q, low, high, d) == 6 * d ** 3 * want
+    assert kinds == {(kind, neg) for kind in (TWO_DISTINCT, DOUBLE, IRRATIONAL) for neg in (False, True)}
 
 
 def test_analyze_examples():
