@@ -26,7 +26,6 @@ from .oracle import (
     SweepConfig,
     VerificationReport,
     enumerate_triples,
-    root_check,
     run_all_claims,
     run_claim,
     simpson_exact,

@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, List, Optional
 
@@ -148,18 +147,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = oracle.SweepConfig()
-    if args.max is not None:
-        config = replace(
-            config,
-            triples_max=args.max,
-            scale_max=args.max,
-            roots_max=args.max,
-            family_max=args.max,
-            mod3_max=args.max,
-            witness_max=min(args.max, config.witness_max),
-            theorem3_max=args.max,
-        )
+    config = oracle.SweepConfig() if args.max is None else oracle.SweepConfig.uniform(args.max)
     names = None if args.claim == "all" else [args.claim]
     reports = oracle.run_all_claims(config, names)
     failed = [r for r in reports if not r.passed]
@@ -240,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification sweeps")
     p.add_argument("claim", choices=("all",) + oracle.CLAIM_ORDER)
     p.add_argument("--max", type=_positive, default=None,
-                   help="override the selected claims' primary sweep bound")
+                   help="set every sweep bound of the selected claims; the mod3 window "
+                        f"scan stays at {oracle.WITNESS_MAX} or below")
     add_format(p)
     p.set_defaults(func=cmd_verify)
 

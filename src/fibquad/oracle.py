@@ -3,10 +3,9 @@
 The oracles use different arithmetic than the main paths: simpson_exact
 applies Simpson's three-point rule through its own integer kernel
 _simpson6, built from point values and never from the antiderivative or
-its kernel _antiderivative6; root_check substitutes a root instead of
-solving; enumerate_triples scans every hypotenuse and shares nothing with
-the window construction (it is quadratic in the hypotenuse, so only the
-tests run it, on small windows).
+its kernel _antiderivative6; enumerate_triples scans every hypotenuse and
+shares nothing with the window construction (it is quadratic in the
+hypotenuse, so only the tests run it, on small windows).
 
 What each registered claim checks:
 
@@ -20,9 +19,10 @@ What each registered claim checks:
   roots_via_triple's -hyp +/- other and are integers.
 - family345: roots, derivative root, vertex value and |integral| of the
   scaled (3,4,5) family equal their closed forms.
-- mod3: F(4n) = 0 (mod 3) by a linear residue sweep, and a scan of
-  every window finds exactly one term divisible by 3, at the position
-  mod3_witness derives from the index alone.
+- mod3: F(4n) = 0 (mod 3) by a linear residue sweep, which fib_mod
+  must match at every multiple of 4, and a scan of windows
+  1..min(mod3_max, WITNESS_MAX) finds exactly one term divisible by 3 in
+  each, at the position mod3_witness derives from the index alone.
 - theorem3: one pass over the f/g window members, each built once; per
   member the solver against the closed roots, integrality of the
   root-to-root integral and of its parts P1, P2, P3, Simpson against that
@@ -31,26 +31,28 @@ What each registered claim checks:
   discriminant root, _antiderivative6, _breakdown6 and _simpson6), and a
   Fraction is built only to report a counterexample.
 
-The claim registry drives the `verify` CLI subcommand. A verifier that
-cannot fail is not evidence, so each claim compares a shipped routine
-with a different computation, and the theorem3 sweep also accepts a
-deliberate coefficient mutation and must report it.
+A claim returns only its scope and its counterexamples; run_claim looks
+it up in the CLAIMS registry, times it and builds its report, so the
+registry key is the claim's only name. The registry drives the `verify`
+CLI subcommand. A verifier that cannot fail is not evidence, so each
+claim compares a shipped routine with a different computation, and the
+theorem3 sweep also accepts a deliberate coefficient mutation and must
+report it.
 """
 
 import math
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import families, quadratic
-from .fibonacci import fib_window, mod3_witness
+from .fibonacci import fib_mod, fib_window, mod3_witness
 from .numeric import number_str
 from .quadratic import (
     POSITIVE,
     QuadPoly,
     build_quadratic,
-    evaluate,
     integrate,
     roots_via_triple,
     solve_quadratic,
@@ -87,6 +89,14 @@ class VerificationReport:
         }
 
 
+# Windows the mod3 claim scans for the witness, at most; the scan builds
+# every window, so it stops well below the lemma sweep's mod3_max.
+WITNESS_MAX = 500
+
+# What a claim found: its scope, as the report's range, and its counterexamples.
+Found = Tuple[str, List[Dict[str, Any]]]
+
+
 def _simpson6(q: QuadPoly, low: int, high: int, d: int) -> int:
     """6*d^3 times Simpson's rule from low/d to high/d, an integer.
 
@@ -110,11 +120,6 @@ def simpson_exact(q: QuadPoly, lo, hi) -> Fraction:
     d = math.lcm(lo.denominator, hi.denominator)
     low, high = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
     return Fraction(_simpson6(q, low, high, d), 6 * d * d * d)
-
-
-def root_check(q: QuadPoly, r) -> bool:
-    """True iff r is an exact root of q."""
-    return evaluate(q, r) == 0
 
 
 def enumerate_triples(hyp_max: int) -> List[Triple]:
@@ -175,7 +180,6 @@ class SweepConfig:
     roots_max: int = 100
     family_max: int = 1000
     mod3_max: int = 10_000
-    witness_max: int = 500
     theorem3_max: int = 100
     fault: Optional[PolyFault] = None
 
@@ -184,16 +188,28 @@ class SweepConfig:
             bound = getattr(self, f.name)
             if f.name != "fault" and bound < 1:
                 raise ValueError(f"{f.name} must be >= 1, got {number_str(bound)}")
-        if self.fault is not None and self.fault.index > self.theorem3_max:
-            raise ValueError(f"fault index {number_str(self.fault.index)} exceeds theorem3_max, "
+        fault = self.fault
+        if fault is None:
+            return
+        if fault.index > self.theorem3_max:
+            raise ValueError(f"fault index {number_str(fault.index)} exceeds theorem3_max, "
                              "so it could never fire")
+        if fault.coeff == "a" and fault.delta < 0:  # every member's leading coefficient is a positive leg
+            build = families.build_f if fault.flavor == families.FLAVOR_F else families.build_g
+            if build(fault.index).poly.a + fault.delta == 0:
+                raise ValueError(f"fault {fault.flavor}/{number_str(fault.index)} zeroes the leading "
+                                 "coefficient, so the member is no quadratic")
+
+    @classmethod
+    def uniform(cls, bound: int) -> "SweepConfig":
+        """Every sweep bound set to bound, as `verify --max` asks."""
+        return cls(**{f.name: bound for f in fields(cls) if f.name != "fault"})
 
 
-def claim_window_triples(config: SweepConfig) -> VerificationReport:
+def claim_window_triples(config: SweepConfig) -> Found:
     """Window triples: the product form recomputed inline satisfies the
     Pythagorean identity and equals triple_from_window, whose side gcd
     is 2 exactly when 3 divides i (t1 and t2 both odd), else 1."""
-    start = time.perf_counter()
     counterexamples = []
     for i in range(1, config.triples_max + 1):
         w = fib_window(i)
@@ -208,16 +224,12 @@ def claim_window_triples(config: SweepConfig) -> VerificationReport:
             continue
         if primitivity(t)[1] != (2 if i % 3 == 0 else 1):
             counterexamples.append({"i": str(i), "problem": "side gcd off the parity law"})
-    return VerificationReport(
-        "window-triples", f"windows 1..{config.triples_max}", counterexamples,
-        time.perf_counter() - start,
-    )
+    return f"windows 1..{config.triples_max}", counterexamples
 
 
-def claim_scaling(config: SweepConfig) -> VerificationReport:
+def claim_scaling(config: SweepConfig) -> Found:
     """Scaling: identity survives multiplication by k and the side gcd
     multiplies by exactly k."""
-    t0 = time.perf_counter()
     counterexamples = []
     bases = [triple_from_window(fib_window(i)) for i in range(1, 7)]
     for t in bases:
@@ -231,17 +243,13 @@ def claim_scaling(config: SweepConfig) -> VerificationReport:
             if primitivity(s)[1] != k * base_g:
                 counterexamples.append({"triple": [str(x) for x in t.sides()], "k": str(k),
                                         "problem": "gcd did not scale by k"})
-    return VerificationReport(
-        "scaling", f"window triples 1..6, k in 1..{config.scale_max}",
-        counterexamples, time.perf_counter() - t0,
-    )
+    return f"window triples 1..6, k in 1..{config.scale_max}", counterexamples
 
 
-def claim_roots(config: SweepConfig) -> VerificationReport:
+def claim_roots(config: SweepConfig) -> Found:
     """Root formula: the solver's roots on the built quadratic must equal
     roots_via_triple's -hyp +/- other and be integers, for both choices
     of seed leg."""
-    t0 = time.perf_counter()
     counterexamples = []
     for i in range(1, config.roots_max + 1):
         t = triple_from_window(fib_window(i))
@@ -255,16 +263,12 @@ def claim_roots(config: SweepConfig) -> VerificationReport:
             if rp.x1.denominator != 1 or rp.x2.denominator != 1:
                 counterexamples.append({"i": str(i), "leg": str(leg),
                                         "problem": "roots are not integers"})
-    return VerificationReport(
-        "roots", f"windows 1..{config.roots_max}, both legs", counterexamples,
-        time.perf_counter() - t0,
-    )
+    return f"windows 1..{config.roots_max}, both legs", counterexamples
 
 
-def claim_family345(config: SweepConfig) -> VerificationReport:
+def claim_family345(config: SweepConfig) -> Found:
     """Scaled (3,4,5) family: roots, derivative root, vertex value, and
     |integral| must match their closed forms at every n."""
-    t0 = time.perf_counter()
     counterexamples = []
     closed_roots = {
         families.FLAVOR_F: lambda n: (Fraction(-(n + 1)), Fraction(-9 * (n + 1))),
@@ -292,36 +296,36 @@ def claim_family345(config: SweepConfig) -> VerificationReport:
             if got != families.family_345_integral_abs(n, flavor):
                 counterexamples.append({"n": str(n), "flavor": flavor, "problem": "|integral| off closed form",
                                         "value": str(got)})
-    return VerificationReport(
-        "family345", f"n in 0..{config.family_max}, flavors f and g", counterexamples,
-        time.perf_counter() - t0,
-    )
+    return f"n in 0..{config.family_max}, flavors f and g", counterexamples
 
 
-def claim_mod3(config: SweepConfig) -> VerificationReport:
-    """Divisibility lemma sweep plus witness existence and uniqueness on
-    every window."""
-    t0 = time.perf_counter()
+def claim_mod3(config: SweepConfig) -> Found:
+    """Divisibility lemma sweep, checking fib_mod at every multiple of 4,
+    plus witness existence and uniqueness on windows 1..min(mod3_max,
+    WITNESS_MAX)."""
     counterexamples = []
     a, b = 0, 1  # F(idx) % 3, F(idx + 1) % 3
     for idx in range(1, 4 * config.mod3_max + 1):
         a, b = b, (a + b) % 3
-        if idx % 4 == 0 and a != 0:
+        if idx % 4:
+            continue
+        if fib_mod(idx, 3) != a:
+            counterexamples.append({"n": str(idx // 4), "index": str(idx),
+                                    "problem": "fib_mod disagrees with the linear sweep"})
+        elif a:
             counterexamples.append({"n": str(idx // 4), "index": str(idx), "residue": str(a)})
-    for i in range(1, config.witness_max + 1):
+    windows = min(config.mod3_max, WITNESS_MAX)
+    for i in range(1, windows + 1):
         w = fib_window(i)
         hits = [pos for pos, term in enumerate(w.terms) if term % 3 == 0]
         if len(hits) != 1:
             counterexamples.append({"i": str(i), "problem": f"{len(hits)} terms divisible by 3"})
         elif mod3_witness(w) != hits[0]:
             counterexamples.append({"i": str(i), "problem": "witness position disagrees with scan"})
-    return VerificationReport(
-        "mod3", f"multiples 4n with n in 1..{config.mod3_max}; windows 1..{config.witness_max}",
-        counterexamples, time.perf_counter() - t0,
-    )
+    return f"multiples 4n with n in 1..{config.mod3_max}; windows 1..{windows}", counterexamples
 
 
-def claim_theorem3(config: SweepConfig) -> VerificationReport:
+def claim_theorem3(config: SweepConfig) -> Found:
     """Integer-integral sweep with the independent oracles in the same
     pass: each member of windows 1..theorem3_max is built once, flavor f
     then g, the configured fault, if any, is applied, and every check
@@ -336,7 +340,6 @@ def claim_theorem3(config: SweepConfig) -> VerificationReport:
     (a*x + b)*x + c == 0 of both closed roots. A Fraction is built only
     to report a counterexample.
     """
-    t0 = time.perf_counter()
     fault = config.fault
     # Read at call time, so that a kernel swapped on its module is the one checked.
     disc_root, antiderivative6, breakdown6 = (
@@ -374,10 +377,7 @@ def claim_theorem3(config: SweepConfig) -> VerificationReport:
             if (a * x1 + b) * x1 + c or (a * x2 + b) * x2 + c:
                 counterexamples.append({"i": str(i), "flavor": flavor,
                                         "problem": "closed-form roots fail direct evaluation"})
-    return VerificationReport(
-        "theorem3", f"windows 1..{config.theorem3_max}, flavors f and g", counterexamples,
-        time.perf_counter() - t0,
-    )
+    return f"windows 1..{config.theorem3_max}, flavors f and g", counterexamples
 
 
 CLAIMS = {
@@ -393,10 +393,12 @@ CLAIM_ORDER = tuple(CLAIMS)
 
 
 def run_claim(name: str, config: Optional[SweepConfig] = None) -> VerificationReport:
-    """Run one registered claim by name."""
+    """Run one registered claim by name, timed, as its report."""
     if name not in CLAIMS:
         raise ValueError(f"unknown claim {name!r}; known: {', '.join(CLAIM_ORDER)}")
-    return CLAIMS[name](config or SweepConfig())
+    start = time.perf_counter()
+    scope, counterexamples = CLAIMS[name](config or SweepConfig())
+    return VerificationReport(name, scope, counterexamples, time.perf_counter() - start)
 
 
 def run_all_claims(config: Optional[SweepConfig] = None,

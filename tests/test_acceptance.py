@@ -123,7 +123,7 @@ def test_criterion_4_theorem1_sweep_to_200():
 
 def test_criterion_5_mod3_lemma_and_witnesses():
     t0 = time.perf_counter()
-    sweep = run_claim("mod3", SweepConfig(mod3_max=10_000, witness_max=500))
+    sweep = run_claim("mod3", SweepConfig(mod3_max=10_000))
     ok = sweep.passed
     for n in (1, 17, 4444, 10_000):  # direct spot checks of the op itself
         ok = ok and fib_mod(4 * n, 3) == 0

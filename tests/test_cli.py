@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -184,6 +185,8 @@ def test_verify_mod3(capsys):
     code, out, _ = run_cli(capsys, "verify", "mod3", "--max", "1000")
     assert code == 0
     assert "PASS" in out
+    # --max sets the lemma sweep, and the window scan stops at its cap
+    assert "(multiples 4n with n in 1..1000; windows 1..500)" in out
 
 
 def test_verify_theorem3(capsys):
@@ -215,7 +218,7 @@ def test_verify_counterexample_exits_1_with_json(capsys, monkeypatch):
     from fibquad import oracle
 
     def failing_claim(config):
-        return oracle.VerificationReport("mod3", "forced", [{"n": "1", "problem": "forced failure"}], 0.0)
+        return "forced", [{"n": "1", "problem": "forced failure"}]
 
     monkeypatch.setitem(oracle.CLAIMS, "mod3", failing_claim)
     code, out, _ = run_cli(capsys, "verify", "mod3")
@@ -335,6 +338,21 @@ def test_output_is_byte_exact(argv, tmp_path, capsys):
     code, stdout, stderr = run_cli(capsys, *[out if a == "{out}" else a for a in argv.split()])
     got = {"code": code, "stdout": mask_elapsed(stdout).replace(out, "{out}"), "stderr": stderr}
     assert got == GOLDEN[argv]
+
+
+# Every `fibquad ...` line of the README's CLI block, comments stripped.
+README_CLI = re.search(r"^## CLI\n\n```\n(.*?)^```",
+                       Path(__file__).resolve().parent.parent.joinpath("README.md").read_text(encoding="utf-8"),
+                       flags=re.M | re.S).group(1)
+README_EXAMPLES = [shlex.split(line, comments=True)[1:] for line in README_CLI.splitlines()
+                   if line.startswith("fibquad ")]
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=" ".join)
+def test_readme_cli_example_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # plot writes fig.svg to the working directory
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("text", ["1e5", "nan", "inf", "1.5", ""])

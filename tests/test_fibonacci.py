@@ -121,7 +121,7 @@ def test_pisano_period_mod3_is_8():
 
 
 def test_verify_fib4n_mod3_report_json_shape():
-    d = run_claim("mod3", SweepConfig(mod3_max=10, witness_max=10)).to_dict()
+    d = run_claim("mod3", SweepConfig(mod3_max=10)).to_dict()
     assert set(d) == {"claim", "range", "status", "counterexamples", "elapsed"}
     assert d["status"] == "pass"
 

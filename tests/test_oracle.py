@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -13,16 +14,15 @@ from fibquad.oracle import (
     SweepConfig,
     VerificationReport,
     enumerate_triples,
-    root_check,
     run_all_claims,
     run_claim,
     simpson_exact,
 )
-from fibquad.quadratic import QuadPoly, RootPair, integrate, solve_quadratic
+from fibquad.quadratic import QuadPoly, RootPair, integrate
 from fibquad.triples import Triple, triple_from_window
 
 FAST = SweepConfig(triples_max=30, scale_max=10, roots_max=20,
-                   family_max=50, mod3_max=500, witness_max=50, theorem3_max=20)
+                   family_max=50, mod3_max=500, theorem3_max=20)
 
 
 def test_simpson_examples():
@@ -40,19 +40,6 @@ def test_simpson_equals_integrate_randomized():
         lo = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
         hi = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
         assert simpson_exact(q, lo, hi) == integrate(q, lo, hi)
-
-
-def test_root_check_examples():
-    assert root_check(QuadPoly(3, 30, 27), -9)
-    assert not root_check(QuadPoly(3, 30, 27), 0)
-    assert root_check(QuadPoly(12, 312, 1728), -18)
-
-
-def test_root_check_accepts_solver_output():
-    for coeffs in [(3, 30, 27), (4, 40, 64), (-3, 30, -27), (5, 130, 125)]:
-        q = QuadPoly(*coeffs)
-        rp = solve_quadratic(q)
-        assert root_check(q, rp.x1) and root_check(q, rp.x2)
 
 
 def test_enumerate_triples_examples():
@@ -169,6 +156,9 @@ ROUTINE_FAULTS = {
     "mod3/mod3_witness": (
         oracle, "mod3_witness", {"i": "9"},
         _wrong_at(lambda w: w.i == 9, lambda pos, w: (pos + 1) % 4)),
+    "mod3/fib_mod": (
+        oracle, "fib_mod", {"n": "7", "problem": "fib_mod disagrees with the linear sweep"},
+        _wrong_at(lambda n, m: n == 28, lambda r, n, m: (r + 1) % m)),
 }
 
 
@@ -224,18 +214,32 @@ def test_poly_fault_validates_coeff():
         PolyFault("f", 1, "d")
 
 
-@pytest.mark.parametrize("fault", [("h", 3, "a"), ("f", 3, "a", 0), ("f", 0, "b"), ("f", 500, "c")])
+@pytest.mark.parametrize("fault", [("h", 3, "a"), ("f", 3, "a", 0), ("f", 0, "b"), ("f", 500, "c"),
+                                   ("f", 1, "a", -3), ("g", 1, "a", -4)])
 def test_fault_that_cannot_fire_is_rejected(fault):
-    # each of these would leave every polynomial of a 20-window sweep intact
+    # each of these would leave every polynomial of a 20-window sweep intact,
+    # or zero the leading coefficient 3 (f) or 4 (g) of window 1
     with pytest.raises(ValueError):
         SweepConfig(theorem3_max=20, fault=PolyFault(*fault))
 
 
 @pytest.mark.parametrize("bound", ["triples_max", "scale_max", "roots_max", "family_max",
-                                   "mod3_max", "witness_max", "theorem3_max"])
+                                   "mod3_max", "theorem3_max"])
 def test_sweep_config_rejects_empty_bound(bound):
     with pytest.raises(ValueError, match=bound):
         SweepConfig(**{bound: 0})
+
+
+def test_uniform_config_sets_every_bound():
+    # `verify --max` maps through uniform, so a bound added later cannot escape it
+    config = SweepConfig.uniform(7)
+    names = [f.name for f in dataclasses.fields(config)]
+    assert {name: getattr(config, name) for name in names} == {**dict.fromkeys(names, 7), "fault": None}
+
+
+def test_zeroing_fault_is_rejected_naming_the_member():
+    with pytest.raises(ValueError, match="fault f/1 zeroes the leading coefficient"):
+        SweepConfig(theorem3_max=3, fault=PolyFault("f", 1, "a", -3))
 
 
 def test_report_status_follows_counterexamples():
