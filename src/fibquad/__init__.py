@@ -14,7 +14,6 @@ from .families import (
     family_345_integral_abs,
 )
 from .fibonacci import (
-    FibWindow,
     fib,
     fib_mod,
     fib_window,

@@ -2,17 +2,17 @@
 (3, 4, 5) family.
 
 Flavor f seeds the coefficients with the product leg t0*t3 of a window
-(t0, t1, t2, t3); flavor g with the doubled-product leg 2*t1*t2. The
-closed-form roots come straight from triple_from_window, never from the
-solver, so comparing them against the general solver is a genuine
-cross-check and not a tautology.
+of four terms (t0, t1, t2, t3); flavor g with the doubled-product leg
+2*t1*t2. The closed-form roots come straight from triple_from_window,
+never from the solver, so comparing them against the general solver is
+a genuine cross-check and not a tautology.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .fibonacci import FibWindow, fib_window
+from .fibonacci import fib_window
 from .numeric import number_str
 from .quadratic import POSITIVE, TWO_DISTINCT, QuadPoly, RootPair, build_quadratic
 from .triples import Triple, scale, triple_from_window
@@ -23,24 +23,23 @@ FLAVOR_G = "g"
 
 @dataclass(frozen=True)
 class FamilyPoly:
-    """One family member: its window, flavor, polynomial, and closed roots."""
+    """One family member: its flavor, polynomial, and closed roots."""
 
-    window: FibWindow
     flavor: str
     poly: QuadPoly
     closed_roots: RootPair
 
 
-def _member(i: int, flavor: str) -> FamilyPoly:
-    """Member of either flavor from the window triple: the seed leg is
-    leg_a (f) or leg_b (g), and the closed roots are -hyp +/- the other
-    leg. fib_window rejects i < 0 and triple_from_window i = 0."""
-    w = fib_window(i)
+def _member(w: Tuple[int, int, int, int], flavor: str) -> FamilyPoly:
+    """Member of either flavor from the triple of window terms w: the seed
+    leg is leg_a (f) or leg_b (g), and the closed roots are -hyp +/- the
+    other leg. For build_f and build_g, fib_window rejects i < 0 and
+    Triple the zero leg of i = 0."""
     t = triple_from_window(w)
     leg, other = (t.leg_a, t.leg_b) if flavor == FLAVOR_F else (t.leg_b, t.leg_a)
     poly = QuadPoly(leg, 2 * leg * t.hyp, leg ** 3)
     roots = RootPair(Fraction(-t.hyp + other), Fraction(-t.hyp - other), TWO_DISTINCT)
-    return FamilyPoly(w, flavor, poly, roots)
+    return FamilyPoly(flavor, poly, roots)
 
 
 def build_f(i: int) -> FamilyPoly:
@@ -49,7 +48,7 @@ def build_f(i: int) -> FamilyPoly:
     Coefficients (alpha, 2*alpha*gamma, alpha^3) with alpha = t0*t3 and
     gamma = t1^2 + t2^2; closed roots -(t2 - t1)^2 and -(t1 + t2)^2.
     """
-    return _member(i, FLAVOR_F)
+    return _member(fib_window(i), FLAVOR_F)
 
 
 def build_g(i: int) -> FamilyPoly:
@@ -58,7 +57,7 @@ def build_g(i: int) -> FamilyPoly:
     Coefficients (beta, 2*beta*gamma, beta^3) with beta = 2*t1*t2; closed
     roots -gamma + alpha and -gamma - alpha.
     """
-    return _member(i, FLAVOR_G)
+    return _member(fib_window(i), FLAVOR_G)
 
 
 BASE_TRIPLE = Triple(3, 4, 5)

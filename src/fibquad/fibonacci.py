@@ -1,32 +1,18 @@
 """Fibonacci terms and four-term windows.
 
-fib, FibWindow and fib_mod share one fast-doubling loop, which gives
+fib, fib_window and fib_mod share one fast-doubling loop, which gives
 F(n) and F(n+1) together in O(log n) steps. fib_mod reduces modulo m at
 every step, so it never materializes the full term and n = 10^18 is
-instant. A window is made only from its index, so its terms are
-canonical by construction. The divisibility sweep F(4n) = 0 (mod 3) is
-the mod3 claim in oracle, and mod3_witness names the divisible term of
-a window by the index rule, which that claim checks against a scan.
+instant. A window is the plain 4-tuple of its terms, made by fib_window
+from its index, so its terms are canonical by construction. The
+divisibility sweep F(4n) = 0 (mod 3) is the mod3 claim in oracle, and
+mod3_witness names the divisible term of window i by the index rule,
+which that claim checks against a scan.
 """
 
-from dataclasses import dataclass, field
 from typing import Tuple
 
 from .numeric import number_str
-
-
-@dataclass(frozen=True)
-class FibWindow:
-    """Four consecutive Fibonacci terms starting at index i >= 0, derived
-    from i by one doubling pass."""
-
-    i: int
-    terms: Tuple[int, int, int, int] = field(init=False)
-
-    def __post_init__(self):
-        _check_index(self.i)
-        f0, f1 = _fib_pair(self.i)
-        object.__setattr__(self, "terms", (f0, f1, f0 + f1, f0 + 2 * f1))
 
 
 def _fib_pair(n: int, m: int = 0) -> Tuple[int, int]:
@@ -58,9 +44,11 @@ def fib(n: int) -> int:
     return _fib_pair(n)[0]
 
 
-def fib_window(i: int) -> FibWindow:
-    """Window of four consecutive terms starting at index i."""
-    return FibWindow(i)
+def fib_window(i: int) -> Tuple[int, int, int, int]:
+    """Window (F(i), F(i+1), F(i+2), F(i+3)), from one doubling pass."""
+    _check_index(i)
+    f0, f1 = _fib_pair(i)
+    return f0, f1, f0 + f1, f0 + 2 * f1
 
 
 def fib_mod(n: int, m: int) -> int:
@@ -75,10 +63,10 @@ def fib_mod(n: int, m: int) -> int:
     return _fib_pair(n, m)[0]
 
 
-def mod3_witness(w: FibWindow) -> int:
-    """Position (0..3) of the window term divisible by 3.
+def mod3_witness(i: int) -> int:
+    """Position (0..3) of the term divisible by 3 in window i.
 
     3 divides F(k) exactly when 4 divides k, so the divisible term sits
     at the one index i + pos with pos = -i mod 4.
     """
-    return -w.i % 4
+    return -i % 4

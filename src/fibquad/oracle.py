@@ -212,18 +212,18 @@ def claim_window_triples(config: SweepConfig) -> Found:
     is 2 exactly when 3 divides i (t1 and t2 both odd), else 1."""
     counterexamples = []
     for i in range(1, config.triples_max + 1):
-        w = fib_window(i)
-        t0, t1, t2, t3 = w.terms
+        w = t0, t1, t2, t3 = fib_window(i)
         alpha, beta, gamma = t0 * t3, 2 * t1 * t2, t1 * t1 + t2 * t2
         if alpha <= 0 or beta <= 0 or gamma <= 0 or alpha * alpha + beta * beta != gamma * gamma:
-            counterexamples.append({"i": str(i), "problem": "alpha^2 + beta^2 != gamma^2"})
+            counterexamples.append({"i": number_str(i), "problem": "alpha^2 + beta^2 != gamma^2"})
             continue
         t = triple_from_window(w)
         if t.sides() != (alpha, beta, gamma):
-            counterexamples.append({"i": str(i), "problem": "construction disagrees with direct products"})
+            counterexamples.append({"i": number_str(i),
+                                    "problem": "construction disagrees with direct products"})
             continue
         if primitivity(t)[1] != (2 if i % 3 == 0 else 1):
-            counterexamples.append({"i": str(i), "problem": "side gcd off the parity law"})
+            counterexamples.append({"i": number_str(i), "problem": "side gcd off the parity law"})
     return f"windows 1..{config.triples_max}", counterexamples
 
 
@@ -237,11 +237,11 @@ def claim_scaling(config: SweepConfig) -> Found:
         for k in range(1, config.scale_max + 1):
             s = scale(t, k)
             if s.sides() != tuple(k * side for side in t.sides()):
-                counterexamples.append({"triple": [str(x) for x in t.sides()], "k": str(k),
+                counterexamples.append({"triple": [number_str(x) for x in t.sides()], "k": number_str(k),
                                         "problem": "sides not scaled componentwise"})
                 continue
             if primitivity(s)[1] != k * base_g:
-                counterexamples.append({"triple": [str(x) for x in t.sides()], "k": str(k),
+                counterexamples.append({"triple": [number_str(x) for x in t.sides()], "k": number_str(k),
                                         "problem": "gcd did not scale by k"})
     return f"window triples 1..6, k in 1..{config.scale_max}", counterexamples
 
@@ -257,11 +257,11 @@ def claim_roots(config: SweepConfig) -> Found:
             q = build_quadratic(leg, t.hyp, POSITIVE)
             rp = solve_quadratic(q)
             if rp != roots_via_triple(leg, other, t.hyp):
-                counterexamples.append({"i": str(i), "leg": str(leg),
+                counterexamples.append({"i": number_str(i), "leg": number_str(leg),
                                         "problem": "solver disagrees with -hyp +/- other"})
                 continue
             if rp.x1.denominator != 1 or rp.x2.denominator != 1:
-                counterexamples.append({"i": str(i), "leg": str(leg),
+                counterexamples.append({"i": number_str(i), "leg": number_str(leg),
                                         "problem": "roots are not integers"})
     return f"windows 1..{config.roots_max}, both legs", counterexamples
 
@@ -283,19 +283,22 @@ def claim_family345(config: SweepConfig) -> Found:
             _, q = families.family_345(n, flavor)
             rp = solve_quadratic(q)
             if (rp.x1, rp.x2) != closed_roots[flavor](n):
-                counterexamples.append({"n": str(n), "flavor": flavor, "problem": "roots off closed form"})
+                counterexamples.append({"n": number_str(n), "flavor": flavor,
+                                        "problem": "roots off closed form"})
                 continue
             vx, vy = vertex(q)
             if vx != Fraction(-5 * (n + 1)):
-                counterexamples.append({"n": str(n), "flavor": flavor, "problem": "derivative root off -5(n+1)"})
+                counterexamples.append({"n": number_str(n), "flavor": flavor,
+                                        "problem": "derivative root off -5(n+1)"})
                 continue
             if vy != closed_vertex_y[flavor](n):
-                counterexamples.append({"n": str(n), "flavor": flavor, "problem": "vertex value off closed form"})
+                counterexamples.append({"n": number_str(n), "flavor": flavor,
+                                        "problem": "vertex value off closed form"})
                 continue
             got = abs(integrate(q, rp.x2, rp.x1))
             if got != families.family_345_integral_abs(n, flavor):
-                counterexamples.append({"n": str(n), "flavor": flavor, "problem": "|integral| off closed form",
-                                        "value": str(got)})
+                counterexamples.append({"n": number_str(n), "flavor": flavor,
+                                        "problem": "|integral| off closed form", "value": number_str(got)})
     return f"n in 0..{config.family_max}, flavors f and g", counterexamples
 
 
@@ -310,18 +313,18 @@ def claim_mod3(config: SweepConfig) -> Found:
         if idx % 4:
             continue
         if fib_mod(idx, 3) != a:
-            counterexamples.append({"n": str(idx // 4), "index": str(idx),
+            counterexamples.append({"n": number_str(idx // 4), "index": number_str(idx),
                                     "problem": "fib_mod disagrees with the linear sweep"})
         elif a:
-            counterexamples.append({"n": str(idx // 4), "index": str(idx), "residue": str(a)})
+            counterexamples.append({"n": number_str(idx // 4), "index": number_str(idx),
+                                    "residue": number_str(a)})
     windows = min(config.mod3_max, WITNESS_MAX)
     for i in range(1, windows + 1):
-        w = fib_window(i)
-        hits = [pos for pos, term in enumerate(w.terms) if term % 3 == 0]
+        hits = [pos for pos, term in enumerate(fib_window(i)) if term % 3 == 0]
         if len(hits) != 1:
-            counterexamples.append({"i": str(i), "problem": f"{len(hits)} terms divisible by 3"})
-        elif mod3_witness(w) != hits[0]:
-            counterexamples.append({"i": str(i), "problem": "witness position disagrees with scan"})
+            counterexamples.append({"i": number_str(i), "problem": f"{len(hits)} terms divisible by 3"})
+        elif mod3_witness(i) != hits[0]:
+            counterexamples.append({"i": number_str(i), "problem": "witness position disagrees with scan"})
     return f"multiples 4n with n in 1..{config.mod3_max}; windows 1..{windows}", counterexamples
 
 
@@ -355,27 +358,27 @@ def claim_theorem3(config: SweepConfig) -> Found:
             total6 = antiderivative6(poly, hi, 1) - antiderivative6(poly, lo, 1)
             r = disc_root(poly)
             if not r or -b + r != 2 * a * x1 or -b - r != 2 * a * x2:  # r None: no rational root, 0: double
-                counterexamples.append({"i": str(i), "flavor": flavor,
+                counterexamples.append({"i": number_str(i), "flavor": flavor,
                                         "problem": "solver roots differ from closed form",
                                         "closed": closed.to_dict(),
                                         "solved": solve_quadratic(poly).to_dict()})
             else:
                 parts6 = breakdown6(poly, lo, hi, 1)
                 if sum(parts6) != total6:
-                    counterexamples.append({"i": str(i), "flavor": flavor,
+                    counterexamples.append({"i": number_str(i), "flavor": flavor,
                                             "problem": "breakdown does not sum to integral"})
                 else:
                     for name, value6 in zip(("P1", "P2", "P3", "integral"), (*parts6, total6)):
                         if value6 % 6:
-                            counterexamples.append({"i": str(i), "flavor": flavor,
+                            counterexamples.append({"i": number_str(i), "flavor": flavor,
                                                     "problem": f"{name} is not an integer",
-                                                    "value": str(Fraction(value6, 6))})
+                                                    "value": number_str(Fraction(value6, 6))})
                             break
             if _simpson6(poly, lo, hi, 1) != total6:
-                counterexamples.append({"i": str(i), "flavor": flavor,
+                counterexamples.append({"i": number_str(i), "flavor": flavor,
                                         "problem": "Simpson disagrees with antiderivative"})
             if (a * x1 + b) * x1 + c or (a * x2 + b) * x2 + c:
-                counterexamples.append({"i": str(i), "flavor": flavor,
+                counterexamples.append({"i": number_str(i), "flavor": flavor,
                                         "problem": "closed-form roots fail direct evaluation"})
     return f"windows 1..{config.theorem3_max}, flavors f and g", counterexamples
 

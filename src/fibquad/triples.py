@@ -1,17 +1,17 @@
 """Pythagorean triples: window generation, primitivity, scaling.
 
-A window (t0, t1, t2, t3) gives the Euclid triple of the coprime pair
-(t2, t1): always valid, and primitive unless t1 and t2 are both odd,
-which happens exactly when 3 divides i (i = 3 gives (16, 30, 34) with
-gcd 2). Legs stay in generation order because the quadratic construction
-cares which leg seeds the coefficients.
+A window of four terms (t0, t1, t2, t3) gives the Euclid triple of the
+pair (t2, t1). For a Fibonacci window at index i >= 1 the pair is
+coprime, so the triple is valid, and primitive unless t1 and t2 are both
+odd, which happens exactly when 3 divides i (i = 3 gives (16, 30, 34)
+with gcd 2). Legs stay in generation order because the quadratic
+construction cares which leg seeds the coefficients.
 """
 
 from dataclasses import dataclass
 from math import gcd
 from typing import Dict, Tuple
 
-from .fibonacci import FibWindow
 from .numeric import number_str
 
 
@@ -46,16 +46,15 @@ class Triple:
         }
 
 
-def triple_from_window(w: FibWindow) -> Triple:
+def triple_from_window(w: Tuple[int, int, int, int]) -> Triple:
     """Triple (t0*t3, 2*t1*t2, t1^2 + t2^2) from window terms t0..t3, by
-    Euclid's formula on (m, n) = (t2, t1), since t0*t3 = m^2 - n^2.
+    Euclid's formula on (m, n) = (t2, t1), since t0*t3 = m^2 - n^2 for
+    any window (m - n, n, m, m + n).
 
-    The window at i = 0 is rejected: its first term is 0, which collapses
-    one leg.
+    Triple rejects the window at i = 0, (0, 1, 1, 2): its zero first term
+    collapses one leg.
     """
-    if w.i == 0:
-        raise ValueError("window at i=0 yields a zero leg; use i >= 1")
-    _, n, m, _ = w.terms
+    _, n, m, _ = w
     m2, n2 = m * m, n * n
     return Triple(m2 - n2, 2 * m * n, m2 + n2)
 

@@ -109,8 +109,7 @@ def test_criterion_4_theorem1_sweep_to_200():
     t0 = time.perf_counter()
     ok = True
     for i in range(1, 201):
-        w = fib_window(i)
-        f0, f1, f2, f3 = w.terms
+        w = f0, f1, f2, f3 = fib_window(i)
         alpha, beta, gamma = f0 * f3, 2 * f1 * f2, f1 * f1 + f2 * f2
         ok = ok and alpha * alpha + beta * beta == gamma * gamma
         ok = ok and triple_from_window(w).sides() == (alpha, beta, gamma)
@@ -128,9 +127,8 @@ def test_criterion_5_mod3_lemma_and_witnesses():
     for n in (1, 17, 4444, 10_000):  # direct spot checks of the op itself
         ok = ok and fib_mod(4 * n, 3) == 0
     for i in range(1, 501):
-        w = fib_window(i)
-        hits = [k for k, t in enumerate(w.terms) if t % 3 == 0]
-        ok = ok and len(hits) == 1 and mod3_witness(w) == hits[0]
+        hits = [k for k, t in enumerate(fib_window(i)) if t % 3 == 0]
+        ok = ok and len(hits) == 1 and mod3_witness(i) == hits[0]
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 2.0
     report(5, ok, elapsed, "F(4n) % 3 == 0 for n <= 10^4; unique witness on windows 1..500")

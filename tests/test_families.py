@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fibquad import families
 from fibquad.families import (
     FLAVOR_F,
     FLAVOR_G,
@@ -11,7 +12,8 @@ from fibquad.families import (
     family_345_integral_abs,
 )
 from fibquad.fibonacci import fib_window
-from fibquad.quadratic import analyze, integrate, solve_quadratic
+from fibquad.quadratic import analyze, evaluate, integrate, solve_quadratic
+from fibquad.triples import triple_from_window
 
 
 def test_build_f_examples():
@@ -44,7 +46,7 @@ def test_build_g_examples():
 
 def test_builders_reject_degenerate_index():
     for builder in (build_f, build_g):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive"):
             builder(0)
 
 
@@ -76,7 +78,7 @@ def test_constant_term_is_lead_cubed():
 
 def test_family_polys_match_window_products():
     for i in range(1, 30):
-        t0, t1, t2, t3 = fib_window(i).terms
+        t0, t1, t2, t3 = fib_window(i)
         alpha = t0 * t3
         beta = 2 * t1 * t2
         gamma = t1 * t1 + t2 * t2
@@ -86,7 +88,7 @@ def test_family_polys_match_window_products():
 
 def test_integrals_are_integers_and_match_closed_form():
     for i in range(1, 101):
-        t0, t1, t2, t3 = fib_window(i).terms
+        t0, t1, t2, t3 = fib_window(i)
         alpha = t0 * t3
         beta = 2 * t1 * t2
         for member, other in ((build_f(i), beta), (build_g(i), alpha)):
@@ -99,8 +101,22 @@ def test_integrals_are_integers_and_match_closed_form():
 
 def test_window_product_divisible_by_3():
     for i in range(1, 101):
-        t0, t1, t2, t3 = fib_window(i).terms
+        t0, t1, t2, t3 = fib_window(i)
         assert (t0 * t1 * t2 * t3) % 3 == 0
+
+
+def test_generalized_windows_build_triples_and_members():
+    # the triple is an identity in (t1, t2), so any window (m - n, n, m, m + n)
+    # gives it, and members whose closed roots are the solver's
+    for m in range(2, 13):
+        for n in range(1, m):
+            w = t0, t1, t2, t3 = (m - n, n, m, m + n)
+            assert triple_from_window(w).sides() == (t0 * t3, 2 * t1 * t2, t1 * t1 + t2 * t2)
+            for flavor in (FLAVOR_F, FLAVOR_G):
+                member = families._member(w, flavor)
+                roots = member.closed_roots
+                assert evaluate(member.poly, roots.x1) == evaluate(member.poly, roots.x2) == 0
+                assert solve_quadratic(member.poly) == roots
 
 
 def test_theorem3_spot_values():

@@ -1,7 +1,6 @@
 import pytest
 
 from fibquad.fibonacci import (
-    FibWindow,
     fib,
     fib_mod,
     fib_window,
@@ -44,15 +43,15 @@ def test_fib_rejects_negative():
 
 
 def test_fib_window_examples():
-    assert fib_window(1).terms == (1, 1, 2, 3)
-    assert fib_window(0).terms == (0, 1, 1, 2)
-    assert fib_window(2).terms == (1, 2, 3, 5)
-    assert fib_window(2).i == 2
+    assert fib_window(1) == (1, 1, 2, 3)
+    assert fib_window(0) == (0, 1, 1, 2)
+    assert fib_window(2) == (1, 2, 3, 5)
+    assert type(fib_window(2)) is tuple
 
 
 def test_fib_window_validates_canonical_start():
-    with pytest.raises(ValueError):
-        FibWindow(-1)
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        fib_window(-1)
 
 
 def test_fib_mod_examples():
@@ -97,9 +96,7 @@ def pisano_period(m):
 
 def test_fib_window_equals_validated_window():
     for i in list(range(200)) + [1000, 3001]:
-        w = fib_window(i)
-        assert w == FibWindow(i)
-        assert w.terms == tuple(fib_iter(i + k) for k in range(4))
+        assert fib_window(i) == tuple(fib_iter(i + k) for k in range(4))
     with pytest.raises(ValueError):
         fib_window(-1)
 
@@ -107,7 +104,7 @@ def test_fib_window_equals_validated_window():
 def test_index_errors_render_huge_operands():
     huge = -(7**6000)
     for call in (lambda: fib(huge), lambda: fib_window(huge), lambda: fib_mod(huge, 3),
-                 lambda: fib_mod(5, huge), lambda: FibWindow(huge)):
+                 lambda: fib_mod(5, huge)):
         with pytest.raises(ValueError, match=r"got -3874717868664966452"):
             call()
 
@@ -127,14 +124,13 @@ def test_verify_fib4n_mod3_report_json_shape():
 
 
 def test_mod3_witness_examples():
-    assert mod3_witness(fib_window(1)) == 3  # term 3
-    assert mod3_witness(fib_window(2)) == 2  # term 3
-    assert mod3_witness(fib_window(5)) == 3  # term 21
+    assert mod3_witness(1) == 3  # term 3
+    assert mod3_witness(2) == 2  # term 3
+    assert mod3_witness(5) == 3  # term 21
 
 
 def test_mod3_witness_unique_on_windows_1_to_500():
     for i in range(1, 501):
-        w = fib_window(i)
-        hits = [k for k, t in enumerate(w.terms) if t % 3 == 0]
+        hits = [k for k, t in enumerate(fib_window(i)) if t % 3 == 0]
         assert len(hits) == 1
-        assert mod3_witness(w) == hits[0]
+        assert mod3_witness(i) == hits[0]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fibquad import families, oracle, quadratic
+from fibquad import cli, families, fibonacci, oracle, quadratic
 from fibquad.fibonacci import fib_window
 from fibquad.oracle import (
     CLAIM_ORDER,
@@ -126,6 +126,15 @@ def test_theorem3_builds_each_member_once(monkeypatch):
     assert calls == {"f": list(range(1, n + 1)), "g": list(range(1, n + 1))}
 
 
+def test_theorem3_derives_each_window_once_per_member(monkeypatch):
+    calls = []
+    pair = fibonacci._fib_pair
+    monkeypatch.setattr(fibonacci, "_fib_pair", lambda *args: calls.append(args) or pair(*args))
+    n = 10
+    assert run_claim("theorem3", SweepConfig(theorem3_max=n)).passed
+    assert 0 < len(calls) <= 2 * n
+
+
 def _wrong_at(match, wrong):
     """Wrapper factory: the real routine, except that where match(*args)
     holds its result r is replaced by wrong(r, *args)."""
@@ -140,7 +149,7 @@ HYP_3, HYP_6 = (triple_from_window(fib_window(i)).hyp for i in (3, 6))
 ROUTINE_FAULTS = {
     "window-triples/triple_from_window": (
         oracle, "triple_from_window", {"i": "7"},
-        _wrong_at(lambda w: w.i == 7, lambda t, w: Triple(t.leg_b, t.leg_a, t.hyp))),
+        _wrong_at(lambda w: w == fib_window(7), lambda t, w: Triple(t.leg_b, t.leg_a, t.hyp))),
     "window-triples/primitivity": (
         oracle, "primitivity", {"i": "6"},
         _wrong_at(lambda t: t.hyp == HYP_6, lambda r, t: (True, 1))),
@@ -155,7 +164,7 @@ ROUTINE_FAULTS = {
         _wrong_at(lambda n, flavor: n == 5, lambda v, n, flavor: v + 1)),
     "mod3/mod3_witness": (
         oracle, "mod3_witness", {"i": "9"},
-        _wrong_at(lambda w: w.i == 9, lambda pos, w: (pos + 1) % 4)),
+        _wrong_at(lambda i: i == 9, lambda pos, i: (pos + 1) % 4)),
     "mod3/fib_mod": (
         oracle, "fib_mod", {"n": "7", "problem": "fib_mod disagrees with the linear sweep"},
         _wrong_at(lambda n, m: n == 28, lambda r, n, m: (r + 1) % m)),
@@ -207,6 +216,20 @@ def test_theorem3_fails_on_a_wrong_kernel(monkeypatch, case):
     assert report.status == "fail"
     assert [(ce["i"], ce["flavor"]) for ce in report.counterexamples] == [("7", "g")] * len(problems)
     assert [ce["problem"] for ce in report.counterexamples] == problems
+
+
+def test_counterexample_past_the_digit_limit_is_reported(monkeypatch, capsys):
+    # the f member of window 3000 in place of window 1, with P1 off by a half:
+    # the reported value has more digits than int/str conversion allows
+    f3000 = families.build_f(3000)
+    monkeypatch.setattr(families, "build_f", lambda i: f3000)
+    monkeypatch.setattr(quadratic, "_breakdown6", _wrong_at(
+        lambda *args: True, lambda parts, *args: (parts[0] + 3, parts[1] - 3, parts[2]))(quadratic._breakdown6))
+    first = run_claim("theorem3", SweepConfig(theorem3_max=1)).counterexamples[0]
+    assert (first["i"], first["flavor"], first["problem"]) == ("1", "f", "P1 is not an integer")
+    assert len(first["value"]) > 4300 and first["value"].endswith("/2")
+    assert cli.main(["verify", "theorem3", "--max", "1"]) == 1
+    assert first["value"] in capsys.readouterr().out
 
 
 def test_poly_fault_validates_coeff():

@@ -22,3 +22,21 @@ def test_package_imports_only_the_standard_library():
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert PACKAGE.joinpath("__init__.py").exists()
     assert outside == []
+
+
+def test_modules_use_every_name_they_import():
+    # __init__.py imports to export; every other module imports only the
+    # names it reads
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
