@@ -2,15 +2,21 @@
 analysis, family tables, verification sweeps, and SVG figures.
 
 Exit codes: 0 success (all claims pass), 1 verification counterexample,
-2 usage or input error, 3 internal error (an unexpected exception). Every
-subcommand takes --format json|csv|table and prints through one emitter.
-Numbers of any length are emitted and accepted as exact decimal strings,
-rationals as "num/den".
+2 usage, input or output error (a closed pipe among them), 3 internal error
+(an unexpected exception). Every subcommand takes --format json|csv|table
+and prints through one emitter. Numbers of any length are emitted and
+accepted as exact decimal strings, rationals as "num/den".
+
+main(argv) may be called any number of times in one process: it returns the
+exit code, and it builds its parser on the first call and reuses it after.
+Usage errors and --help raise SystemExit, as argparse does.
 """
 
 import argparse
 import csv
+import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, List, Optional
@@ -176,7 +182,11 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and shared by every later one. Parsing never
+    changes the parser, and help is laid out when printed, so COLUMNS still
+    applies."""
     parser = argparse.ArgumentParser(
         prog="fibquad",
         description="Integer-root quadratics from Pythagorean triples and "
@@ -244,17 +254,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _discard(stream) -> None:
+    """Point a stream whose reader closed the pipe at devnull, so that neither
+    a later write nor the flush at exit raises again (the Python docs' note
+    on SIGPIPE)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _fail(code: int, message: str) -> int:
+    """Print message to stderr and return code; a closed stderr only drops the message."""
     try:
-        return args.func(args)
+        print(message, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _discard(sys.stderr)
+    return code
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, BrokenPipeError):
+            _discard(sys.stdout)
+        return _fail(EXIT_USAGE, f"error: {exc}")
     except Exception as exc:  # a bug, never a counterexample; Ctrl-C still propagates
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from fibquad import cli
 from fibquad.cli import FORMATS, main
 from fibquad.numeric import number_str, parse_int
 
@@ -332,12 +334,102 @@ def mask_elapsed(text):
     return re.sub(r",\d+\.\d{3}$", ",0.000", text, flags=re.M)
 
 
-@pytest.mark.parametrize("argv", sorted(GOLDEN))
-def test_output_is_byte_exact(argv, tmp_path, capsys):
+def golden_run(capsys, tmp_path, argv):
+    """One golden case's code, stdout and stderr, masked as they are pinned."""
     out = str(tmp_path / "fig.svg")  # the pinned text reads {out}
     code, stdout, stderr = run_cli(capsys, *[out if a == "{out}" else a for a in argv.split()])
-    got = {"code": code, "stdout": mask_elapsed(stdout).replace(out, "{out}"), "stderr": stderr}
-    assert got == GOLDEN[argv]
+    return {"code": code, "stdout": mask_elapsed(stdout).replace(out, "{out}"), "stderr": stderr}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_output_is_byte_exact(argv, tmp_path, capsys):
+    assert golden_run(capsys, tmp_path, argv) == GOLDEN[argv]
+
+
+def test_one_parser_serves_every_call_and_keeps_no_state(capsys, tmp_path, monkeypatch):
+    """The parser is built on the first call only, and no call leaks into the
+    next: the goldens replayed in reverse, with usage errors between them,
+    print the pinned bytes (fib --n 3 --mod 2 runs just before fib --n 3)."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    usage_errors = ["fib --n x", "verify nope", "quad build --leg 5 --hyp 3"]
+    for k, argv in enumerate(sorted(GOLDEN, reverse=True)):
+        assert golden_run(capsys, tmp_path, argv) == GOLDEN[argv], argv
+        if k % 5 == 0:
+            code, out, err = run_cli(capsys, *usage_errors[k // 5 % 3].split())
+            assert code == 2 and out == "" and "error" in err
+    # 9 parsers (top level and 8 subcommands), each built once over 62 calls;
+    # building per call would make 9 a call
+    assert len(built) == len(set(built)) <= 9
+
+
+# Usage and help as argparse prints them at COLUMNS=80 (Python 3.11's
+# wording), pinned so that sharing one parser across calls cannot change them.
+USAGE_GOLDEN = json.loads(Path(__file__).with_name("cli_usage_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", sorted(USAGE_GOLDEN), ids=lambda argv: argv or "(no arguments)")
+def test_usage_and_help_are_byte_exact(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *argv.split())
+    assert {"code": code, "stdout": out, "stderr": err} == USAGE_GOLDEN[argv]
+
+
+def test_help_follows_columns_on_every_call(capsys, monkeypatch):
+    helps = []
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps.append(run_cli(capsys, "--help")[1])
+    narrow, wide = [max(map(len, text.splitlines())) for text in helps]
+    assert narrow <= 60 < wide
+
+
+COUNT_PARSERS_AT_IMPORT = """
+import argparse, sys
+sys.path.insert(0, sys.argv[1])
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import fibquad.cli
+print(len(built))
+fibquad.cli.build_parser()
+print(len(built))
+"""
+
+
+def test_import_builds_no_parser():
+    """Importing fibquad.cli builds no parser; the first main() call does.
+    The bench's setup_s times that import in a fresh interpreter, as here."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-I", "-c", COUNT_PARSERS_AT_IMPORT, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_build = map(int, proc.stdout.split())
+    assert at_import == 0 and after_build > 0
+
+
+@pytest.mark.parametrize("stderr", [subprocess.STDOUT, subprocess.PIPE], ids=["stderr-merged", "stderr-apart"])
+def test_closed_pipe_exits_2_without_traceback(stderr):
+    """`fibquad ... | head -c 10` is an output error, exit 2: never 1, which
+    means a counterexample, and no traceback, whether or not stderr goes to
+    the closed pipe too. The JSON runs past 64 KB, so a write must fail."""
+    with subprocess.Popen([sys.executable, "-m", "fibquad", "family", "--n-max", "200", "--format", "json"],
+                          stdout=subprocess.PIPE, stderr=stderr) as proc:
+        assert proc.stdout.read(10) == b'[\n  {\n    '
+        proc.stdout.close()
+        err = b"" if proc.stderr is None else proc.stderr.read()
+        assert proc.wait(timeout=120) == 2
+    assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 # Every `fibquad ...` line of the README's CLI block, comments stripped.
