@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Callable, List, Optional
 
 from . import families, oracle
@@ -62,10 +61,12 @@ def _positive(text: str) -> int:
 
 
 def _cell(value) -> str:
-    """Text of one CSV or table cell; None is an empty cell."""
+    """Text of one CSV or table cell; None is an empty cell. Text is
+    tested by its concrete type, which is cheaper than asking whether it
+    is a Fraction."""
     if value is None:
         return ""
-    return number_str(value) if isinstance(value, (int, Fraction)) else str(value)
+    return value if type(value) is str else number_str(value)
 
 
 def _emit(fmt: str, header: List[str], rows: Callable[[], List[list]], payload: Callable[[], object],

@@ -37,8 +37,13 @@ def number_str(x: Union[int, Fraction]) -> str:
     Integers and whole rationals render as plain decimal strings, other
     rationals as "num/den", at any length, so consumers never need 64-bit
     parsing.
+
+    Most values on the wire are ints, so the concrete type int is tested
+    first. Fraction's metaclass is ABCMeta, and isinstance against it runs
+    the slow ABC check for every value that is not a Fraction, which would
+    cost an int several times its own str().
     """
-    if isinstance(x, Fraction) and x.denominator == 1:
+    if type(x) is not int and isinstance(x, Fraction) and x.denominator == 1:
         x = x.numerator
     try:
         return str(x)  # the fast path, below the digit limit

@@ -9,6 +9,7 @@ q~(x) = -q(-x), which negates roots, vertex, and signed integral.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Optional, Tuple
 
 from .numeric import isqrt_exact, number_str
@@ -160,12 +161,11 @@ def derivative(q: QuadPoly) -> Tuple[int, int]:
 
 
 def evaluate(q: QuadPoly, x) -> Fraction:
-    """Exact value of q at a rational (or integer) point.
+    """Exact value of q at a rational point, an int or a Fraction.
 
     With x = n/d, q(x)*d^2 = (a*n + b*d)*n + c*d^2 is an integer, so the
-    value is one Fraction built from integers.
+    value is one Fraction built from integers, with n and d read off x.
     """
-    x = Fraction(x)
     n, d = x.numerator, x.denominator
     return Fraction((q.a * n + q.b * d) * n + q.c * d * d, d * d)
 
@@ -177,9 +177,10 @@ def vertex(q: QuadPoly) -> Tuple[Fraction, Fraction]:
 
 
 def _common_bounds(lo, hi) -> Tuple[int, int, int]:
-    """Integers (L, H, d) with lo = L/d and hi = H/d."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    return lo.numerator * hi.denominator, hi.numerator * lo.denominator, lo.denominator * hi.denominator
+    """Integers (L, H, d) with lo = L/d and hi = H/d, where d is the lcm of
+    the denominators of lo and hi (ints or Fractions)."""
+    d = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
 
 
 def _antiderivative6(q: QuadPoly, n: int, d: int) -> int:
@@ -189,9 +190,9 @@ def _antiderivative6(q: QuadPoly, n: int, d: int) -> int:
 
 
 def integrate(q: QuadPoly, lo, hi) -> Fraction:
-    """Definite integral via the antiderivative (a/3)x^3 + (b/2)x^2 + cx,
-    in integer arithmetic over the bounds' common denominator and reduced
-    once at the end."""
+    """Definite integral via the antiderivative (a/3)x^3 + (b/2)x^2 + cx
+    between rational bounds (ints or Fractions), in integer arithmetic
+    over the bounds' least common denominator and reduced once at the end."""
     low, high, d = _common_bounds(lo, hi)
     return Fraction(_antiderivative6(q, high, d) - _antiderivative6(q, low, d), 6 * d * d * d)
 
@@ -209,8 +210,8 @@ def integral_breakdown(q: QuadPoly, lo, hi) -> Tuple[Fraction, Fraction, Fractio
     """Per-term integrals (quadratic, linear, constant); they sum to integrate().
 
     Each part, a/3*(hi^3 - lo^3), b/2*(hi^2 - lo^2) or c*(hi - lo), is
-    computed in integers over the bounds' common denominator and reduced
-    once.
+    computed in integers over the bounds' least common denominator and
+    reduced once.
     """
     low, high, d = _common_bounds(lo, hi)
     scale = 6 * d * d * d
@@ -220,13 +221,19 @@ def integral_breakdown(q: QuadPoly, lo, hi) -> Tuple[Fraction, Fraction, Fractio
 
 def analyze(q: QuadPoly) -> AnalysisReport:
     """Full report; the root-to-root integral runs left to right between
-    the roots and is omitted when the roots are not rational."""
+    the roots and is omitted when the roots are not rational.
+
+    The discriminant root is taken once, by solve_quadratic, and each
+    reported value is reduced to a Fraction once. The roots are ordered by
+    the sign of a, since x1 = (-b + r)/(2a) is the right root when a > 0.
+    A double root is the vertex, so it is built once.
+    """
     roots = solve_quadratic(q)
-    vx, vy = vertex(q)
+    vx = roots.x1 if roots.kind == DOUBLE else Fraction(-q.b, 2 * q.a)
+    vy = evaluate(q, vx)
     disc = q.b * q.b - 4 * q.a * q.c
     if roots.kind == IRRATIONAL:
         return AnalysisReport(q, roots, vx, vy, disc, None, None, None)
-    lo, hi = min(roots.x1, roots.x2), max(roots.x1, roots.x2)
+    lo, hi = (roots.x2, roots.x1) if q.a > 0 else (roots.x1, roots.x2)
     signed = integrate(q, lo, hi)
-    parts = integral_breakdown(q, lo, hi)
-    return AnalysisReport(q, roots, vx, vy, disc, signed, abs(signed), parts)
+    return AnalysisReport(q, roots, vx, vy, disc, signed, abs(signed), integral_breakdown(q, lo, hi))

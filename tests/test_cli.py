@@ -64,6 +64,16 @@ def test_fib_json_uses_decimal_strings(capsys):
     assert payload["value"] == str(222232244629420445529739893461909967206666939096499764990979600)
 
 
+def test_cell_renders_text_none_bools_and_numbers():
+    assert cli._cell("f") == "f"
+    assert cli._cell(None) == ""
+    assert cli._cell(True) == "True"
+    assert cli._cell(12) == "12"
+    assert cli._cell(Fraction(6, 3)) == "2"
+    assert cli._cell(Fraction(-3, 2)) == "-3/2"
+    assert cli._cell(-(10 ** 5000)) == number_str(-(10 ** 5000))
+
+
 def test_triples_table(capsys):
     code, out, _ = run_cli(capsys, "triples", "--from", "1", "--to", "1")
     assert code == 0

@@ -79,6 +79,10 @@ def test_number_str_wire_form():
     assert number_str(Fraction(5, 1)) == "5"
     assert number_str(Fraction(-3, 2)) == "-3/2"
     assert number_str(10**80) == str(10**80)
+    assert number_str(Fraction(6, 3)) == "2"
+    # ints are tested by their concrete type, so a bool must not pass as one
+    assert number_str(True) == "True"
+    assert number_str(False) == "False"
 
 
 def reference_decimal(x):

@@ -1,9 +1,12 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from fibquad import quadratic
 from fibquad.oracle import _simpson6, simpson_exact
 from fibquad.quadratic import (
     DOUBLE,
@@ -11,8 +14,10 @@ from fibquad.quadratic import (
     NEGATIVE,
     POSITIVE,
     TWO_DISTINCT,
+    AnalysisReport,
     QuadPoly,
     RootPair,
+    _common_bounds,
     _discriminant_root,
     analyze,
     build_quadratic,
@@ -160,6 +165,13 @@ def test_integrate_rational_bounds():
     assert integrate(q, 0, Fraction(1, 2)) == Fraction(1, 24)
 
 
+def test_common_bounds_use_the_lcm_of_the_denominators():
+    assert _common_bounds(Fraction(1, 6), Fraction(5, 6)) == (1, 5, 6)
+    assert _common_bounds(Fraction(1, 4), Fraction(-1, 6)) == (3, -2, 12)
+    assert _common_bounds(-9, Fraction(1, 2)) == (-18, 1, 2)
+    assert _common_bounds(-9, -1) == (-9, -1, 1)
+
+
 def test_integral_breakdown_examples():
     assert integral_breakdown(QuadPoly(3, 30, 27), -9, -1) == (728, -1200, 216)
     assert integral_breakdown(QuadPoly(1, 0, 0), 0, 3) == (9, 0, 0)
@@ -274,6 +286,74 @@ def test_analyze_examples():
     rep = analyze(QuadPoly(12, 312, 1728))
     assert (rep.roots.x1, rep.roots.x2) == (-8, -18)
     assert rep.integral_signed == -2000
+
+
+def assembled_report(q):
+    """The report analyze must give, assembled from the public functions,
+    with the bounds ordered by comparing the roots."""
+    a, b, c = q.coeffs()
+    roots = solve_quadratic(q)
+    vx, vy = vertex(q)
+    if roots.kind == IRRATIONAL:
+        return AnalysisReport(q, roots, vx, vy, b * b - 4 * a * c, None, None, None)
+    lo, hi = sorted((roots.x1, roots.x2))
+    signed = integrate(q, lo, hi)
+    return AnalysisReport(q, roots, vx, vy, b * b - 4 * a * c, signed, abs(signed),
+                          integral_breakdown(q, lo, hi))
+
+
+BIG = 10 ** 20
+nonzero = st.integers(-BIG, BIG).filter(bool)
+sign = st.sampled_from((1, -1))
+positive = st.integers(1, BIG)
+non_square = st.integers(2, BIG).filter(lambda n: math.isqrt(n) ** 2 != n)
+quadratics = st.one_of(
+    # random coefficients: almost always irrational or complex roots
+    st.builds(QuadPoly, nonzero, st.integers(-BIG, BIG), st.integers(-BIG, BIG)),
+    # a*(s*x - p)^2: a double root p/s
+    st.builds(lambda a, s, p: QuadPoly(a * s * s, -2 * a * s * p, a * p * p),
+              nonzero, positive, st.integers(-BIG, BIG)),
+    # +/-(k*x - p)(k*x - r): rational roots, integers only when k divides p and r
+    st.builds(lambda e, k, p, r: QuadPoly(e * k * k, -e * k * (p + r), e * p * r),
+              sign, st.integers(2, 10 ** 6), st.integers(-BIG, BIG), st.integers(-BIG, BIG)),
+    # +/-(x^2 - n) with n not a square: an irrational pair
+    st.builds(lambda e, n: QuadPoly(e, 0, -e * n), sign, non_square),
+    # +/-(m*x^2 + n): a negative discriminant, a complex pair
+    st.builds(lambda e, m, n: QuadPoly(e * m, 0, e * n), sign, positive, positive),
+)
+
+
+@given(quadratics)
+def test_analyze_equals_the_report_of_the_public_functions(q):
+    report = analyze(q)
+    assert report == assembled_report(q)
+    assert type(report.discriminant) is int
+    rationals = [report.vertex_x, report.vertex_y]
+    if report.roots.kind != IRRATIONAL:
+        rationals += [report.roots.x1, report.roots.x2, report.integral_signed, report.integral_abs,
+                      *report.breakdown]
+    assert all(type(x) is Fraction for x in rationals)
+
+
+@pytest.mark.parametrize("q, built_max", [
+    (QuadPoly(3, 30, 27), 8),  # two integer roots
+    (QuadPoly(-4, 8, -3), 8),  # two half-integer roots, a < 0
+    (QuadPoly(1, -2, 1), 6),  # double root
+    (QuadPoly(-4, 12, -9), 6),  # double root 3/2
+    (QuadPoly(1, 0, -2), 2),  # irrational pair
+    (QuadPoly(1, 0, 1), 2),  # complex pair
+], ids=["integer-roots", "rational-roots", "double", "double-rational", "irrational", "complex"])
+def test_analyze_builds_each_reported_value_once(monkeypatch, q, built_max):
+    want = assembled_report(q)
+    calls = Counter()
+    for name in ("Fraction", "_discriminant_root", "_antiderivative6", "_breakdown6"):
+        real = getattr(quadratic, name)
+        monkeypatch.setattr(quadratic, name,
+                            lambda *args, name=name, real=real: calls.update([name]) or real(*args))
+    assert analyze(q) == want
+    assert calls.pop("Fraction") <= built_max
+    rational = want.roots.kind != IRRATIONAL
+    assert calls == Counter(_discriminant_root=1, _antiderivative6=2 * rational, _breakdown6=rational)
 
 
 def test_analyze_irrational_omits_integral():
