@@ -31,13 +31,14 @@ What each registered claim checks:
   discriminant root, _antiderivative6, _breakdown6 and _simpson6), and a
   Fraction is built only to report a counterexample.
 
-A claim returns only its scope and its counterexamples; run_claim looks
-it up in the CLAIMS registry, times it and builds its report, so the
-registry key is the claim's only name. The registry drives the `verify`
-CLI subcommand. A verifier that cannot fail is not evidence, so each
-claim compares a shipped routine with a different computation, and the
-theorem3 sweep also accepts a deliberate coefficient mutation and must
-report it.
+A claim returns only its scope and its counterexamples, as records of raw
+ints, Fractions, tuples and text; run_claim looks it up in the CLAIMS
+registry, times it, renders the records with number_str in one place and
+builds its report, so the registry key is the claim's only name. The
+registry drives the `verify` CLI subcommand. A verifier that cannot fail
+is not evidence, so each claim compares a shipped routine with a
+different computation, and the theorem3 sweep also accepts a deliberate
+coefficient mutation and must report it.
 """
 
 import math
@@ -93,7 +94,8 @@ class VerificationReport:
 # every window, so it stops well below the lemma sweep's mod3_max.
 WITNESS_MAX = 500
 
-# What a claim found: its scope, as the report's range, and its counterexamples.
+# What a claim found: its scope, as the report's range, and its raw
+# counterexample records, which run_claim alone puts in wire form.
 Found = Tuple[str, List[Dict[str, Any]]]
 
 
@@ -215,15 +217,14 @@ def claim_window_triples(config: SweepConfig) -> Found:
         w = t0, t1, t2, t3 = fib_window(i)
         alpha, beta, gamma = t0 * t3, 2 * t1 * t2, t1 * t1 + t2 * t2
         if alpha <= 0 or beta <= 0 or gamma <= 0 or alpha * alpha + beta * beta != gamma * gamma:
-            counterexamples.append({"i": number_str(i), "problem": "alpha^2 + beta^2 != gamma^2"})
+            problem = "alpha^2 + beta^2 != gamma^2"
+        elif (t := triple_from_window(w)).sides() != (alpha, beta, gamma):
+            problem = "construction disagrees with direct products"
+        elif primitivity(t)[1] != (2 if i % 3 == 0 else 1):
+            problem = "side gcd off the parity law"
+        else:
             continue
-        t = triple_from_window(w)
-        if t.sides() != (alpha, beta, gamma):
-            counterexamples.append({"i": number_str(i),
-                                    "problem": "construction disagrees with direct products"})
-            continue
-        if primitivity(t)[1] != (2 if i % 3 == 0 else 1):
-            counterexamples.append({"i": number_str(i), "problem": "side gcd off the parity law"})
+        counterexamples.append({"i": i, "problem": problem})
     return f"windows 1..{config.triples_max}", counterexamples
 
 
@@ -237,12 +238,12 @@ def claim_scaling(config: SweepConfig) -> Found:
         for k in range(1, config.scale_max + 1):
             s = scale(t, k)
             if s.sides() != tuple(k * side for side in t.sides()):
-                counterexamples.append({"triple": [number_str(x) for x in t.sides()], "k": number_str(k),
-                                        "problem": "sides not scaled componentwise"})
+                problem = "sides not scaled componentwise"
+            elif primitivity(s)[1] != k * base_g:
+                problem = "gcd did not scale by k"
+            else:
                 continue
-            if primitivity(s)[1] != k * base_g:
-                counterexamples.append({"triple": [number_str(x) for x in t.sides()], "k": number_str(k),
-                                        "problem": "gcd did not scale by k"})
+            counterexamples.append({"triple": t.sides(), "k": k, "problem": problem})
     return f"window triples 1..6, k in 1..{config.scale_max}", counterexamples
 
 
@@ -254,15 +255,14 @@ def claim_roots(config: SweepConfig) -> Found:
     for i in range(1, config.roots_max + 1):
         t = triple_from_window(fib_window(i))
         for leg, other in ((t.leg_a, t.leg_b), (t.leg_b, t.leg_a)):
-            q = build_quadratic(leg, t.hyp, POSITIVE)
-            rp = solve_quadratic(q)
+            rp = solve_quadratic(build_quadratic(leg, t.hyp, POSITIVE))
             if rp != roots_via_triple(leg, other, t.hyp):
-                counterexamples.append({"i": number_str(i), "leg": number_str(leg),
-                                        "problem": "solver disagrees with -hyp +/- other"})
+                problem = "solver disagrees with -hyp +/- other"
+            elif rp.x1.denominator != 1 or rp.x2.denominator != 1:
+                problem = "roots are not integers"
+            else:
                 continue
-            if rp.x1.denominator != 1 or rp.x2.denominator != 1:
-                counterexamples.append({"i": number_str(i), "leg": number_str(leg),
-                                        "problem": "roots are not integers"})
+            counterexamples.append({"i": i, "leg": leg, "problem": problem})
     return f"windows 1..{config.roots_max}, both legs", counterexamples
 
 
@@ -270,35 +270,24 @@ def claim_family345(config: SweepConfig) -> Found:
     """Scaled (3,4,5) family: roots, derivative root, vertex value, and
     |integral| must match their closed forms at every n."""
     counterexamples = []
-    closed_roots = {
-        families.FLAVOR_F: lambda n: (Fraction(-(n + 1)), Fraction(-9 * (n + 1))),
-        families.FLAVOR_G: lambda n: (Fraction(-2 * (n + 1)), Fraction(-8 * (n + 1))),
-    }
-    closed_vertex_y = {
-        families.FLAVOR_F: lambda n: Fraction(-48 * (n + 1) ** 3),
-        families.FLAVOR_G: lambda n: Fraction(-36 * (n + 1) ** 3),
-    }
+    # Per flavor, both roots in units of n + 1 and the vertex value in units of (n + 1)^3.
+    closed = {families.FLAVOR_F: (-1, -9, -48), families.FLAVOR_G: (-2, -8, -36)}
     for n in range(0, config.family_max + 1):
         for flavor in (families.FLAVOR_F, families.FLAVOR_G):
             _, q = families.family_345(n, flavor)
             rp = solve_quadratic(q)
-            if (rp.x1, rp.x2) != closed_roots[flavor](n):
-                counterexamples.append({"n": number_str(n), "flavor": flavor,
-                                        "problem": "roots off closed form"})
+            x1, x2, y = closed[flavor]
+            if (rp.x1, rp.x2) != (x1 * (n + 1), x2 * (n + 1)):
+                found = {"problem": "roots off closed form"}
+            elif (v := vertex(q))[0] != -5 * (n + 1):
+                found = {"problem": "derivative root off -5(n+1)"}
+            elif v[1] != y * (n + 1) ** 3:
+                found = {"problem": "vertex value off closed form"}
+            elif (got := abs(integrate(q, rp.x2, rp.x1))) != families.family_345_integral_abs(n, flavor):
+                found = {"problem": "|integral| off closed form", "value": got}
+            else:
                 continue
-            vx, vy = vertex(q)
-            if vx != Fraction(-5 * (n + 1)):
-                counterexamples.append({"n": number_str(n), "flavor": flavor,
-                                        "problem": "derivative root off -5(n+1)"})
-                continue
-            if vy != closed_vertex_y[flavor](n):
-                counterexamples.append({"n": number_str(n), "flavor": flavor,
-                                        "problem": "vertex value off closed form"})
-                continue
-            got = abs(integrate(q, rp.x2, rp.x1))
-            if got != families.family_345_integral_abs(n, flavor):
-                counterexamples.append({"n": number_str(n), "flavor": flavor,
-                                        "problem": "|integral| off closed form", "value": number_str(got)})
+            counterexamples.append({"n": n, "flavor": flavor, **found})
     return f"n in 0..{config.family_max}, flavors f and g", counterexamples
 
 
@@ -313,18 +302,22 @@ def claim_mod3(config: SweepConfig) -> Found:
         if idx % 4:
             continue
         if fib_mod(idx, 3) != a:
-            counterexamples.append({"n": number_str(idx // 4), "index": number_str(idx),
-                                    "problem": "fib_mod disagrees with the linear sweep"})
+            found = {"problem": "fib_mod disagrees with the linear sweep"}
         elif a:
-            counterexamples.append({"n": number_str(idx // 4), "index": number_str(idx),
-                                    "residue": number_str(a)})
+            found = {"residue": a}
+        else:
+            continue
+        counterexamples.append({"n": idx // 4, "index": idx, **found})
     windows = min(config.mod3_max, WITNESS_MAX)
     for i in range(1, windows + 1):
         hits = [pos for pos, term in enumerate(fib_window(i)) if term % 3 == 0]
         if len(hits) != 1:
-            counterexamples.append({"i": number_str(i), "problem": f"{len(hits)} terms divisible by 3"})
+            problem = f"{len(hits)} terms divisible by 3"
         elif mod3_witness(i) != hits[0]:
-            counterexamples.append({"i": number_str(i), "problem": "witness position disagrees with scan"})
+            problem = "witness position disagrees with scan"
+        else:
+            continue
+        counterexamples.append({"i": i, "problem": problem})
     return f"multiples 4n with n in 1..{config.mod3_max}; windows 1..{windows}", counterexamples
 
 
@@ -354,32 +347,25 @@ def claim_theorem3(config: SweepConfig) -> Found:
             poly = member.poly if fault is None else fault.apply(i, flavor, member.poly)
             a, b, c = poly.a, poly.b, poly.c
             x1, x2 = closed.x1.numerator, closed.x2.numerator
-            lo, hi = x2, x1
-            total6 = antiderivative6(poly, hi, 1) - antiderivative6(poly, lo, 1)
+            total6 = antiderivative6(poly, x1, 1) - antiderivative6(poly, x2, 1)
+            problems = []
             r = disc_root(poly)
             if not r or -b + r != 2 * a * x1 or -b - r != 2 * a * x2:  # r None: no rational root, 0: double
-                counterexamples.append({"i": number_str(i), "flavor": flavor,
-                                        "problem": "solver roots differ from closed form",
-                                        "closed": closed.to_dict(),
-                                        "solved": solve_quadratic(poly).to_dict()})
+                problems.append({"problem": "solver roots differ from closed form",
+                                 "closed": closed.to_dict(), "solved": solve_quadratic(poly).to_dict()})
+            elif sum(parts6 := breakdown6(poly, x2, x1, 1)) != total6:
+                problems.append({"problem": "breakdown does not sum to integral"})
             else:
-                parts6 = breakdown6(poly, lo, hi, 1)
-                if sum(parts6) != total6:
-                    counterexamples.append({"i": number_str(i), "flavor": flavor,
-                                            "problem": "breakdown does not sum to integral"})
-                else:
-                    for name, value6 in zip(("P1", "P2", "P3", "integral"), (*parts6, total6)):
-                        if value6 % 6:
-                            counterexamples.append({"i": number_str(i), "flavor": flavor,
-                                                    "problem": f"{name} is not an integer",
-                                                    "value": number_str(Fraction(value6, 6))})
-                            break
-            if _simpson6(poly, lo, hi, 1) != total6:
-                counterexamples.append({"i": number_str(i), "flavor": flavor,
-                                        "problem": "Simpson disagrees with antiderivative"})
+                for name, value6 in zip(("P1", "P2", "P3", "integral"), (*parts6, total6)):
+                    if value6 % 6:
+                        problems.append({"problem": f"{name} is not an integer",
+                                         "value": Fraction(value6, 6)})
+                        break
+            if _simpson6(poly, x2, x1, 1) != total6:
+                problems.append({"problem": "Simpson disagrees with antiderivative"})
             if (a * x1 + b) * x1 + c or (a * x2 + b) * x2 + c:
-                counterexamples.append({"i": number_str(i), "flavor": flavor,
-                                        "problem": "closed-form roots fail direct evaluation"})
+                problems.append({"problem": "closed-form roots fail direct evaluation"})
+            counterexamples += ({"i": i, "flavor": flavor, **found} for found in problems)
     return f"windows 1..{config.theorem3_max}, flavors f and g", counterexamples
 
 
@@ -395,13 +381,27 @@ CLAIMS = {
 CLAIM_ORDER = tuple(CLAIMS)
 
 
+def _wire_form(value):
+    """A counterexample record in wire form: ints and Fractions as number_str
+    text, tuples as lists, dicts in key order, str and None as they are."""
+    if type(value) is str or value is None:
+        return value
+    if type(value) is int or isinstance(value, Fraction):
+        return number_str(value)
+    if isinstance(value, (tuple, list)):
+        return [_wire_form(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _wire_form(item) for key, item in value.items()}
+    raise TypeError(f"counterexample holds a {type(value).__name__}, which has no wire form")
+
+
 def run_claim(name: str, config: Optional[SweepConfig] = None) -> VerificationReport:
     """Run one registered claim by name, timed, as its report."""
     if name not in CLAIMS:
         raise ValueError(f"unknown claim {name!r}; known: {', '.join(CLAIM_ORDER)}")
     start = time.perf_counter()
     scope, counterexamples = CLAIMS[name](config or SweepConfig())
-    return VerificationReport(name, scope, counterexamples, time.perf_counter() - start)
+    return VerificationReport(name, scope, _wire_form(counterexamples), time.perf_counter() - start)
 
 
 def run_all_claims(config: Optional[SweepConfig] = None,

@@ -227,17 +227,33 @@ def test_verify_unknown_claim_is_usage_error(capsys):
 
 
 def test_verify_counterexample_exits_1_with_json(capsys, monkeypatch):
+    # a claim returns raw values; verify prints them in wire form
     from fibquad import oracle
 
+    huge = -(10 ** 5000) - 7
+
     def failing_claim(config):
-        return "forced", [{"n": "1", "problem": "forced failure"}]
+        return "forced", [{"n": huge, "value": Fraction(-3, 2), "triple": (3, 4, 5),
+                           "problem": "forced failure", "residue": None}]
 
     monkeypatch.setitem(oracle.CLAIMS, "mod3", failing_claim)
     code, out, _ = run_cli(capsys, "verify", "mod3")
     assert code == 1
     assert "FAIL" in out
     payload = json.loads(out.split("\n", 1)[1])
-    assert payload[0]["counterexamples"][0]["problem"] == "forced failure"
+    assert list(payload[0]["counterexamples"][0].items()) == [
+        ("n", number_str(huge)), ("value", "-3/2"), ("triple", ["3", "4", "5"]),
+        ("problem", "forced failure"), ("residue", None)]
+
+
+def test_verify_counterexample_without_wire_form_exits_3(capsys, monkeypatch):
+    from fibquad import oracle
+
+    monkeypatch.setitem(oracle.CLAIMS, "mod3", lambda config: ("forced", [{"n": 1, "value": 1.5}]))
+    code, out, err = run_cli(capsys, "verify", "mod3")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: TypeError: counterexample holds a float, which has no wire form\n"
 
 
 def test_unexpected_exception_exits_3_not_1(capsys, monkeypatch):

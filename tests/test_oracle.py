@@ -142,42 +142,47 @@ def _wrong_at(match, wrong):
 
 
 HYP_3, HYP_6 = (triple_from_window(fib_window(i)).hyp for i in (3, 6))
+N5_345 = {families.family_345(5, flavor)[1] for flavor in ("f", "g")}
 
 # One fault per claim other than theorem3 (which takes PolyFault): the
 # routine the claim checks is wrong at one location, and the claim must
-# fail there.
+# fail there with this first counterexample, every key in order.
 ROUTINE_FAULTS = {
     "window-triples/triple_from_window": (
-        oracle, "triple_from_window", {"i": "7"},
+        oracle, "triple_from_window", {"i": "7", "problem": "construction disagrees with direct products"},
         _wrong_at(lambda w: w == fib_window(7), lambda t, w: Triple(t.leg_b, t.leg_a, t.hyp))),
     "window-triples/primitivity": (
-        oracle, "primitivity", {"i": "6"},
+        oracle, "primitivity", {"i": "6", "problem": "side gcd off the parity law"},
         _wrong_at(lambda t: t.hyp == HYP_6, lambda r, t: (True, 1))),
     "scaling/scale": (
-        oracle, "scale", {"k": "3"},
+        oracle, "scale", {"triple": ["3", "4", "5"], "k": "3", "problem": "sides not scaled componentwise"},
         _wrong_at(lambda t, k: k == 3, lambda s, t, k: t)),
     "roots/roots_via_triple": (
-        oracle, "roots_via_triple", {"i": "3"},
+        oracle, "roots_via_triple", {"i": "3", "leg": "16", "problem": "solver disagrees with -hyp +/- other"},
         _wrong_at(lambda leg, other, hyp: hyp == HYP_3, lambda rp, *sides: RootPair(rp.x2, rp.x1, rp.kind))),
     "family345/family_345_integral_abs": (
-        families, "family_345_integral_abs", {"n": "5"},
+        families, "family_345_integral_abs",
+        {"n": "5", "flavor": "f", "problem": "|integral| off closed form", "value": "331776"},
         _wrong_at(lambda n, flavor: n == 5, lambda v, n, flavor: v + 1)),
+    "family345/vertex": (
+        oracle, "vertex", {"n": "5", "flavor": "f", "problem": "vertex value off closed form"},
+        _wrong_at(lambda q: q in N5_345, lambda v, q: (v[0], v[1] + 1))),
     "mod3/mod3_witness": (
-        oracle, "mod3_witness", {"i": "9"},
+        oracle, "mod3_witness", {"i": "9", "problem": "witness position disagrees with scan"},
         _wrong_at(lambda i: i == 9, lambda pos, i: (pos + 1) % 4)),
     "mod3/fib_mod": (
-        oracle, "fib_mod", {"n": "7", "problem": "fib_mod disagrees with the linear sweep"},
+        oracle, "fib_mod", {"n": "7", "index": "28", "problem": "fib_mod disagrees with the linear sweep"},
         _wrong_at(lambda n, m: n == 28, lambda r, n, m: (r + 1) % m)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ROUTINE_FAULTS))
 def test_every_claim_fails_on_a_wrong_routine(monkeypatch, case):
-    module, name, location, wrap = ROUTINE_FAULTS[case]
+    module, name, first, wrap = ROUTINE_FAULTS[case]
     monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     report = run_claim(case.split("/")[0], FAST)
     assert report.status == "fail"
-    assert {k: report.counterexamples[0].get(k) for k in location} == location
+    assert list(report.counterexamples[0].items()) == list(first.items())
 
 
 G7 = families.build_g(7)

@@ -40,3 +40,15 @@ def test_modules_use_every_name_they_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_claims_leave_number_rendering_to_run_claim():
+    # a claim returns raw values and run_claim alone puts them in wire
+    # form, so no claim_* function in oracle.py may read number_str
+    tree = ast.parse(PACKAGE.joinpath("oracle.py").read_text(encoding="utf-8"))
+    claims = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("claim_")]
+    reads = [f"{claim.name}:{node.lineno}" for claim in claims for node in ast.walk(claim)
+             if isinstance(node, ast.Name) and node.id == "number_str"]
+    assert len(claims) >= 6
+    assert reads == []
