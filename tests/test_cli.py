@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fibquad import cli
+from fibquad import cli, svgplot
 from fibquad.cli import FORMATS, main
 from fibquad.numeric import number_str, parse_int
 
@@ -573,6 +573,21 @@ def test_plot_past_the_float_range(capsys, tmp_path, i):
     svg = out_path.read_text()
     assert f"x1 = {number_str(-h + other)}<" in svg and f"x2 = {number_str(-h - other)}<" in svg
     assert f"vertex ({number_str(-h)}, {number_str(-leg * other * other)})" in svg
+
+
+def test_plots_of_every_window_share_two_frames(capsys, tmp_path):
+    # roots -h +- other lie at least 2 apart, so every CLI figure has w = 1
+    # and differs from the others only in its orientation
+    svgplot._frame.cache_clear()
+    for i in range(1, 41):
+        leg_a, leg_b, h = window_triple(i)
+        for leg in (leg_a, leg_b):
+            for neg in ((), ("--neg",)):
+                code, _, _ = run_cli(capsys, "plot", "--leg", str(leg), "--hyp", str(h), *neg,
+                                     "--out", str(tmp_path / "fig.svg"))
+                assert code == 0
+    info = svgplot._frame.cache_info()
+    assert (info.misses, info.hits) == (2, 158)
 
 
 def test_quad_build_error_names_huge_operands(capsys):

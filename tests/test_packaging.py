@@ -52,3 +52,33 @@ def test_claims_leave_number_rendering_to_run_claim():
              if isinstance(node, ast.Name) and node.id == "number_str"]
     assert len(claims) >= 6
     assert reads == []
+
+
+
+def test_every_cache_is_bounded():
+    # an unbounded cache (functools.cache, lru_cache(maxsize=None)) may only
+    # hold the one result of a function without parameters; any other
+    # lru_cache names its bound as a literal int, so memory stays bounded
+    cached, bad = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                call = decorator if isinstance(decorator, ast.Call) else None
+                target = call.func if call else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name not in ("cache", "lru_cache"):
+                    continue
+                cached.append(f"{path.name}:{node.name}")
+                if name == "cache":
+                    maxsize = None
+                else:  # a bare @lru_cache or lru_cache() takes the default, not a literal
+                    given = ([kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]) if call else []
+                    maxsize = given[0].value if given and isinstance(given[0], ast.Constant) else "default"
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+                if (maxsize is None and params) or (maxsize is not None and type(maxsize) is not int):
+                    bad.append(f"{path.name}:{node.lineno} {node.name} maxsize={maxsize!r}")
+    assert {"cli.py:build_parser", "svgplot.py:_frame"} <= set(cached)
+    assert bad == []

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from fibquad import svgplot
 from fibquad.fibonacci import fib_window
 from fibquad.quadratic import NEGATIVE, POSITIVE, QuadPoly, build_quadratic
 from fibquad.svgplot import render_quadratic_svg
@@ -27,12 +28,38 @@ PINNED = [
     (lambda: QuadPoly(1, 0, -1), "22f1cafae0a053edf80e30ee4f79a9c79db6b75e076e1b6070269789c32488b6"),
     (lambda: QuadPoly(2, -1, -1), "508f981dc6c9ff9324f75c7fcd4af070d99ecf7eca7a57bae8dd7dcc74ca26cc"),
     (lambda: QuadPoly(-5, 0, 20), "58eda8b3b99b941d6a270fd54e3c7f13405ff662b3f2b7ed11babc6815552da9"),
+    # a < 0 with w = 1/6 and with a double root (w = 0): a frame cache
+    # keyed on the sign alone or on w alone draws one of these wrong
+    (lambda: QuadPoly(-6, 5, -1), "99c914d7a06e1dd1fae8fa222c044231f56b2be887bdae33736db102d8d0339a"),
+    (lambda: QuadPoly(-1, 2, -1), "a329a46c934cc90836df2a2d98fafef210c0b15ba4b8b5d2d43ef9904a0edbbd"),
 ]
+
+
+def svg_digest(q):
+    return hashlib.sha256(render_quadratic_svg(q).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("make, digest", PINNED)
 def test_svg_bytes_are_pinned(make, digest):
-    assert hashlib.sha256(render_quadratic_svg(make()).encode()).hexdigest() == digest
+    assert svg_digest(make()) == digest
+
+
+def test_pinned_bytes_hold_cold_warm_and_in_reverse_order():
+    # the frame is shared by every figure with one orientation and root
+    # gap, so no order of renders may leak one figure into another
+    svgplot._frame.cache_clear()
+    for sweep in (PINNED, PINNED, PINNED[::-1]):
+        assert [svg_digest(make()) for make, _ in sweep] == [digest for _, digest in sweep]
+
+
+def test_frame_cache_stays_at_its_bound():
+    # roots +-1/k lie less than 1 apart, so span = 1 and w = 2/k: 100 frames
+    svgplot._frame.cache_clear()
+    for k in range(3, 103):
+        render_quadratic_svg(QuadPoly(k * k, 0, -1))
+    info = svgplot._frame.cache_info()
+    assert info.misses == 100
+    assert info.currsize == info.maxsize < 100
 
 
 def test_irrational_roots_are_rejected():
