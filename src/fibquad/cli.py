@@ -22,7 +22,7 @@ from typing import Callable, List, Optional
 
 from . import families, oracle
 from .fibonacci import fib, fib_mod, fib_window
-from .numeric import number_str, parse_int
+from .numeric import number_str, parse_int, wire
 from .quadratic import NEGATIVE, POSITIVE, QuadPoly, analyze, build_quadratic
 from .svgplot import SAMPLES, write_quadratic_svg
 from .triples import primitivity, scale, triple_from_window
@@ -33,6 +33,8 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 FORMATS = ("table", "json", "csv")
+
+TRIPLE_COLUMNS = ["leg_a", "leg_b", "hyp", "gcd", "primitive"]
 
 ANALYSIS_COLUMNS = ["a", "b", "c", "kind", "x1", "x2", "vertex_x", "vertex_y", "discriminant",
                     "integral_signed", "integral_abs", "p1", "p2", "p3"]
@@ -69,13 +71,34 @@ def _cell(value) -> str:
     return value if type(value) is str else number_str(value)
 
 
+def _triple_row(t) -> list:
+    is_primitive, g = primitivity(t)
+    return [*t.sides(), g, is_primitive]
+
+
+def _analysis_row(r) -> list:
+    return [*r.poly.coeffs(), r.roots.kind, r.roots.x1, r.roots.x2, r.vertex_x, r.vertex_y,
+            r.discriminant, r.integral_signed, r.integral_abs, *(r.breakdown or [None] * 3)]
+
+
+def _analysis_json(row: list) -> dict:
+    """An analysis row as JSON, which nests the coefficients, the roots and
+    the integral's parts; the parts are null when the roots are irrational.
+    Unpacked by name, as a loop over groups costs several times as much."""
+    a, b, c, kind, x1, x2, vx, vy, disc, signed, absolute, p1, p2, p3 = wire(row)
+    return {"poly": {"a": a, "b": b, "c": c}, "roots": {"kind": kind, "x1": x1, "x2": x2},
+            "vertex_x": vx, "vertex_y": vy, "discriminant": disc, "integral_signed": signed,
+            "integral_abs": absolute, "breakdown": None if p1 is None else {"p1": p1, "p2": p2, "p3": p3}}
+
+
 def _emit(fmt: str, header: List[str], rows: Callable[[], List[list]], payload: Callable[[], object],
           table: Optional[Callable[[], str]] = None) -> None:
     """Print one command's result in fmt, building only what fmt prints.
 
-    json prints payload(); csv prints header and rows(); table prints
-    table() for a command with its own layout, else header and rows() as
-    left-aligned columns.
+    json prints payload(), which a command builds from its raw rows
+    through numeric.wire, the one renderer of every JSON payload; csv
+    prints header and rows(); table prints table() for a command with its
+    own layout, else header and rows() as left-aligned columns.
     """
     if fmt == "json":
         print(json.dumps(payload(), indent=2))
@@ -93,25 +116,19 @@ def _emit(fmt: str, header: List[str], rows: Callable[[], List[list]], payload: 
 
 def cmd_fib(args) -> int:
     value = fib(args.n) if args.mod is None else fib_mod(args.n, args.mod)
-    _emit(args.format, ["n", "mod", "value"],
-          lambda: [[args.n, args.mod, value]],
-          lambda: {"n": number_str(args.n), "mod": None if args.mod is None else number_str(args.mod),
-                   "value": number_str(value)},
-          lambda: number_str(value))
+    header, row = ["n", "mod", "value"], [args.n, args.mod, value]
+    _emit(args.format, header, lambda: [row], lambda: dict(zip(header, wire(row))), lambda: number_str(value))
     return EXIT_OK
 
 
 def cmd_triples(args) -> int:
     if args.i_from > args.i_to:
         raise ValueError(f"--from {number_str(args.i_from)} exceeds --to {number_str(args.i_to)}")
-    triples = []
+    header, rows = ["i", *TRIPLE_COLUMNS], []
     for i in range(args.i_from, args.i_to + 1):
         t = triple_from_window(fib_window(i))
-        triples.append((i, scale(t, args.scale) if args.scale > 1 else t))
-    _emit(args.format, ["i", "leg_a", "leg_b", "hyp", "gcd", "primitive"],
-          lambda: [[i, *t.sides(), g, primitive]
-                   for i, t in triples for primitive, g in [primitivity(t)]],
-          lambda: [dict(i=number_str(i), **t.to_dict()) for i, t in triples])
+        rows.append([i, *_triple_row(scale(t, args.scale) if args.scale > 1 else t)])
+    _emit(args.format, header, lambda: rows, lambda: [dict(zip(header, wire(row))) for row in rows])
     return EXIT_OK
 
 
@@ -121,15 +138,10 @@ def cmd_quad(args) -> int:
         q = build_quadratic(args.leg, args.hyp, orientation)
     else:
         q = QuadPoly(args.a, args.b, args.c)
-    r = analyze(q)
-
-    def row():
-        return [*q.coeffs(), r.roots.kind, r.roots.x1, r.roots.x2, r.vertex_x, r.vertex_y,
-                r.discriminant, r.integral_signed, r.integral_abs, *(r.breakdown or [None] * 3)]
-
-    _emit(args.format, ANALYSIS_COLUMNS, lambda: [row()], r.to_dict,
+    row = _analysis_row(analyze(q))
+    _emit(args.format, ANALYSIS_COLUMNS, lambda: [row], lambda: _analysis_json(row),
           lambda: "\n".join(f"{key:>16}: {'-' if v is None else _cell(v)}"
-                            for key, v in zip(ANALYSIS_COLUMNS, row())))
+                            for key, v in zip(ANALYSIS_COLUMNS, row)))
     return EXIT_OK
 
 
@@ -147,8 +159,9 @@ def cmd_family(args) -> int:
           lambda: [[n, *r.poly.coeffs(), r.roots.x1, r.roots.x2, r.vertex_x, r.vertex_y,
                     r.integral_abs, flavor, closed, match]
                    for n, flavor, t, r, closed, match in members],
-          lambda: [{"n": number_str(n), "flavor": flavor, "triple": t.to_dict(),
-                    "analysis": r.to_dict(), "closed_form": number_str(closed), "match": match}
+          lambda: [{"n": wire(n), "flavor": flavor, "triple": dict(zip(TRIPLE_COLUMNS, wire(_triple_row(t)))),
+                    "analysis": _analysis_json(_analysis_row(r)), "closed_form": wire(closed),
+                    "match": match}
                    for n, flavor, t, r, closed, match in members])
     return EXIT_OK
 
@@ -176,10 +189,13 @@ def cmd_plot(args) -> int:
     orientation = NEGATIVE if args.neg else POSITIVE
     q = build_quadratic(args.leg, args.hyp, orientation)
     write_quadratic_svg(args.out, q)
-    _emit(args.format, ["out", "samples", "a", "b", "c"],
-          lambda: [[args.out, SAMPLES, *q.coeffs()]],
-          lambda: {"out": args.out, "samples": number_str(SAMPLES), "poly": q.to_dict()},
-          lambda: f"wrote {args.out}")
+    row = [args.out, SAMPLES, *q.coeffs()]
+
+    def payload():
+        out, samples, a, b, c = wire(row)
+        return {"out": out, "samples": samples, "poly": {"a": a, "b": b, "c": c}}
+
+    _emit(args.format, ["out", "samples", "a", "b", "c"], lambda: [row], payload, lambda: f"wrote {args.out}")
     return EXIT_OK
 
 

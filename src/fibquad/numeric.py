@@ -6,18 +6,23 @@ used directly. number_str and parse_int are the only conversions between
 numbers and decimal text. Both fall back to decimal.Decimal past the
 interpreter's int/str digit limit (4300 digits by default), so numbers of
 any length round-trip exactly without touching that process-wide setting.
+The library returns raw values, and wire renders every JSON payload, the
+claims' counterexample records among them.
 """
 
 import re
 from decimal import Decimal
 from fractions import Fraction
 from math import isqrt as _isqrt
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 # The syntax int() accepts in base 10: surrounding whitespace, an optional
 # sign, and digits with single underscores between them. Kept as text so
 # that importing the package compiles no pattern.
 _INT_TEXT = r"\s*[+-]?\d+(?:_\d+)*\s*"
+
+# The types wire renders as numbers; a bool is no number on the wire.
+_NUMBERS = (int, Fraction)
 
 
 def isqrt_exact(x: int) -> Optional[int]:
@@ -65,3 +70,21 @@ def parse_int(text: str) -> int:
         if re.fullmatch(_INT_TEXT, text) is None:
             raise
         return int(Decimal(text))
+
+
+def wire(value: Any) -> Any:
+    """The wire form of a record: ints and Fractions as number_str text,
+    tuples and lists as lists, dicts in key order, and str, bool and None
+    as they are; anything else raises TypeError. Numbers are told by their
+    concrete type, which is cheaper than isinstance against Fraction (see
+    number_str)."""
+    kind = type(value)
+    if kind in _NUMBERS:
+        return number_str(value)
+    if kind is str or kind is bool or value is None:
+        return value
+    if isinstance(value, (tuple, list)):  # a number in a row is rendered without a call to wire
+        return [number_str(item) if type(item) in _NUMBERS else wire(item) for item in value]
+    if isinstance(value, dict):
+        return {key: wire(item) for key, item in value.items()}
+    raise TypeError(f"counterexample holds a {kind.__name__}, which has no wire form")

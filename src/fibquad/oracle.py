@@ -33,12 +33,13 @@ What each registered claim checks:
 
 A claim returns only its scope and its counterexamples, as records of raw
 ints, Fractions, tuples and text; run_claim looks it up in the CLAIMS
-registry, times it, renders the records with number_str in one place and
-builds its report, so the registry key is the claim's only name. The
-registry drives the `verify` CLI subcommand. A verifier that cannot fail
-is not evidence, so each claim compares a shipped routine with a
-different computation, and the theorem3 sweep also accepts a deliberate
-coefficient mutation and must report it.
+registry, times it, renders the records once with numeric.wire, the
+renderer of every JSON payload, and builds its report, so the registry
+key is the claim's only name. The registry drives the `verify` CLI
+subcommand. A verifier that cannot fail is not evidence, so each claim
+compares a shipped routine with a different computation, and the
+theorem3 sweep also accepts a deliberate coefficient mutation and must
+report it.
 """
 
 import math
@@ -49,10 +50,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from . import families, quadratic
 from .fibonacci import fib_mod, fib_window, mod3_witness
-from .numeric import number_str
+from .numeric import number_str, wire
 from .quadratic import (
     POSITIVE,
     QuadPoly,
+    RootPair,
     build_quadratic,
     integrate,
     roots_via_triple,
@@ -321,6 +323,10 @@ def claim_mod3(config: SweepConfig) -> Found:
     return f"multiples 4n with n in 1..{config.mod3_max}; windows 1..{windows}", counterexamples
 
 
+def _roots_record(rp: RootPair) -> Dict[str, Any]:
+    return {"kind": rp.kind, "x1": rp.x1, "x2": rp.x2}
+
+
 def claim_theorem3(config: SweepConfig) -> Found:
     """Integer-integral sweep with the independent oracles in the same
     pass: each member of windows 1..theorem3_max is built once, flavor f
@@ -351,8 +357,8 @@ def claim_theorem3(config: SweepConfig) -> Found:
             problems = []
             r = disc_root(poly)
             if not r or -b + r != 2 * a * x1 or -b - r != 2 * a * x2:  # r None: no rational root, 0: double
-                problems.append({"problem": "solver roots differ from closed form",
-                                 "closed": closed.to_dict(), "solved": solve_quadratic(poly).to_dict()})
+                problems.append({"problem": "solver roots differ from closed form", "closed": _roots_record(closed),
+                                 "solved": _roots_record(solve_quadratic(poly))})
             elif sum(parts6 := breakdown6(poly, x2, x1, 1)) != total6:
                 problems.append({"problem": "breakdown does not sum to integral"})
             else:
@@ -381,27 +387,13 @@ CLAIMS = {
 CLAIM_ORDER = tuple(CLAIMS)
 
 
-def _wire_form(value):
-    """A counterexample record in wire form: ints and Fractions as number_str
-    text, tuples as lists, dicts in key order, str and None as they are."""
-    if type(value) is str or value is None:
-        return value
-    if type(value) is int or isinstance(value, Fraction):
-        return number_str(value)
-    if isinstance(value, (tuple, list)):
-        return [_wire_form(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _wire_form(item) for key, item in value.items()}
-    raise TypeError(f"counterexample holds a {type(value).__name__}, which has no wire form")
-
-
 def run_claim(name: str, config: Optional[SweepConfig] = None) -> VerificationReport:
     """Run one registered claim by name, timed, as its report."""
     if name not in CLAIMS:
         raise ValueError(f"unknown claim {name!r}; known: {', '.join(CLAIM_ORDER)}")
     start = time.perf_counter()
     scope, counterexamples = CLAIMS[name](config or SweepConfig())
-    return VerificationReport(name, scope, _wire_form(counterexamples), time.perf_counter() - start)
+    return VerificationReport(name, scope, wire(counterexamples), time.perf_counter() - start)
 
 
 def run_all_claims(config: Optional[SweepConfig] = None,

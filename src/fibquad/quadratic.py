@@ -10,7 +10,7 @@ q~(x) = -q(-x), which negates roots, vertex, and signed integral.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .numeric import isqrt_exact, number_str
 
@@ -37,9 +37,6 @@ class QuadPoly:
     def coeffs(self) -> Tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
-    def to_dict(self) -> Dict[str, str]:
-        return {"a": number_str(self.a), "b": number_str(self.b), "c": number_str(self.c)}
-
 
 @dataclass(frozen=True)
 class RootPair:
@@ -53,13 +50,6 @@ class RootPair:
     x1: Optional[Fraction]
     x2: Optional[Fraction]
     kind: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "x1": None if self.x1 is None else number_str(self.x1),
-            "x2": None if self.x2 is None else number_str(self.x2),
-        }
 
 
 @dataclass(frozen=True)
@@ -79,22 +69,6 @@ class AnalysisReport:
     integral_signed: Optional[Fraction]
     integral_abs: Optional[Fraction]
     breakdown: Optional[Tuple[Fraction, Fraction, Fraction]]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "poly": self.poly.to_dict(),
-            "roots": self.roots.to_dict(),
-            "vertex_x": number_str(self.vertex_x),
-            "vertex_y": number_str(self.vertex_y),
-            "discriminant": number_str(self.discriminant),
-            "integral_signed": None if self.integral_signed is None else number_str(self.integral_signed),
-            "integral_abs": None if self.integral_abs is None else number_str(self.integral_abs),
-            "breakdown": None if self.breakdown is None else {
-                "p1": number_str(self.breakdown[0]),
-                "p2": number_str(self.breakdown[1]),
-                "p3": number_str(self.breakdown[2]),
-            },
-        }
 
 
 def build_quadratic(leg: int, hyp: int, orientation: str = POSITIVE) -> QuadPoly:

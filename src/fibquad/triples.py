@@ -10,7 +10,7 @@ construction cares which leg seeds the coefficients.
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .numeric import number_str
 
@@ -34,16 +34,6 @@ class Triple:
 
     def _sides_str(self) -> str:
         return ", ".join(map(number_str, self.sides()))
-
-    def to_dict(self) -> Dict[str, object]:
-        is_primitive, g = primitivity(self)
-        return {
-            "leg_a": number_str(self.leg_a),
-            "leg_b": number_str(self.leg_b),
-            "hyp": number_str(self.hyp),
-            "gcd": number_str(g),
-            "primitive": is_primitive,
-        }
 
 
 def triple_from_window(w: Tuple[int, int, int, int]) -> Triple:

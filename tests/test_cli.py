@@ -1,6 +1,7 @@
 import argparse
 import csv
 import io
+import itertools
 import json
 import re
 import shlex
@@ -546,19 +547,21 @@ def analysis_fields(out, fmt):
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("i", [2600, 10400])
 def test_quad_build_past_the_digit_limit(capsys, i, fmt):
+    # --neg builds the mirror -q(-x): a, c, the roots, the vertex, the
+    # signed integral and its parts change sign, b and |integral| do not
     leg_a, leg_b, h = window_triple(i)
-    for l, o in ((leg_a, leg_b), (leg_b, leg_a)):
+    for (l, o), (neg, s) in itertools.product(((leg_a, leg_b), (leg_b, leg_a)), (((), 1), (("--neg",), -1))):
         code, out, _ = run_cli(capsys, "quad", "build", "--leg", number_str(l), "--hyp", number_str(h),
-                               "--format", fmt)
+                               *neg, "--format", fmt)
         assert code == 0
         got = analysis_fields(out, fmt)
         assert got.pop("kind") == "two-distinct"
         lo, hi = -h - o, -h + o
-        want = {"a": l, "b": 2 * l * h, "c": l ** 3, "x1": hi, "x2": lo,
-                "vertex_x": -h, "vertex_y": -l * o * o, "discriminant": (2 * l * o) ** 2,
-                "integral_signed": Fraction(-4 * l * o ** 3, 3), "integral_abs": Fraction(4 * l * o ** 3, 3),
-                "p1": Fraction(l * (hi ** 3 - lo ** 3), 3), "p2": l * h * (hi * hi - lo * lo),
-                "p3": l ** 3 * (hi - lo)}
+        want = {"a": s * l, "b": 2 * l * h, "c": s * l ** 3, "x1": s * hi, "x2": s * lo,
+                "vertex_x": -s * h, "vertex_y": -s * l * o * o, "discriminant": (2 * l * o) ** 2,
+                "integral_signed": Fraction(-4 * s * l * o ** 3, 3), "integral_abs": Fraction(4 * l * o ** 3, 3),
+                "p1": Fraction(s * l * (hi ** 3 - lo ** 3), 3), "p2": s * l * h * (hi * hi - lo * lo),
+                "p3": s * l ** 3 * (hi - lo)}
         assert {k: parse_number(v) for k, v in got.items()} == want
         assert len(got["integral_abs"]) > 4300
 
@@ -573,6 +576,20 @@ def test_plot_past_the_float_range(capsys, tmp_path, i):
     svg = out_path.read_text()
     assert f"x1 = {number_str(-h + other)}<" in svg and f"x2 = {number_str(-h - other)}<" in svg
     assert f"vertex ({number_str(-h)}, {number_str(-leg * other * other)})" in svg
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_plot_coefficients_past_the_digit_limit(capsys, tmp_path, fmt):
+    leg, _, h = window_triple(3600)  # c = leg^3 has 4514 digits
+    for neg, s in (((), 1), (("--neg",), -1)):
+        code, out, _ = run_cli(capsys, "plot", "--leg", number_str(leg), "--hyp", number_str(h), *neg,
+                               "--out", str(tmp_path / "fig.svg"), "--format", fmt)
+        assert code == 0
+        [row] = records(out, fmt)
+        coeffs = row["poly"] if fmt == "json" else row
+        assert {k: parse_int(coeffs[k]) for k in "abc"} == {"a": s * leg, "b": 2 * leg * h, "c": s * leg ** 3}
+        assert len(coeffs["c"]) == 4514 + (s < 0)
+        assert row["samples"] == "256"
 
 
 def test_plots_of_every_window_share_two_frames(capsys, tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fibquad.numeric import isqrt_exact, number_str, parse_int
+from fibquad.numeric import isqrt_exact, number_str, parse_int, wire
 
 
 def test_isqrt_exact_examples():
@@ -145,3 +145,41 @@ def test_parse_int_rejects_what_int_rejects(text):
 def test_number_str_round_trips(x):
     num, _, den = number_str(x).partition("/")
     assert Fraction(parse_int(num), parse_int(den or "1")) == x
+
+
+# --- wire: the one renderer of JSON output --------------------------------
+
+def test_wire_renders_numbers_past_the_digit_limit():
+    big, den = 7 ** 12000, 13 * 11 ** 4500
+    assert wire(big) == reference_decimal(big)
+    assert wire(Fraction(-big, den)) == f"-{reference_decimal(big)}/{reference_decimal(den)}"
+    assert wire(Fraction(-big)) == "-" + reference_decimal(big)
+    # inside a row too, where wire renders a number without calling itself
+    text, ratio = reference_decimal(big), f"{reference_decimal(big)}/{reference_decimal(den)}"
+    assert wire([big, (Fraction(big, den),)]) == [text, [ratio]]
+
+
+def test_wire_keeps_the_key_order_of_nested_dicts():
+    record = {"z": 1, "a": {"y": Fraction(1, 2), "b": None}, "m": [2, {"k": -3}]}
+    out = wire(record)
+    assert out == {"z": "1", "a": {"y": "1/2", "b": None}, "m": ["2", {"k": "-3"}]}
+    assert list(out) == ["z", "a", "m"] and list(out["a"]) == ["y", "b"]
+
+
+def test_wire_renders_a_tuple_as_a_list():
+    assert wire((3, Fraction(-4, 6), "x")) == ["3", "-2/3", "x"]
+    assert wire(((1, 2), ())) == [["1", "2"], []]
+
+
+@pytest.mark.parametrize("value", ["", "two-distinct", True, False, None], ids=repr)
+def test_wire_passes_str_bool_and_none_through(value):
+    assert wire(value) is value
+    assert wire([value]) == [value]
+
+
+@pytest.mark.parametrize("value, name", [(1.5, "float"), (1j, "complex"), (object(), "object")],
+                         ids=["float", "complex", "object"])
+def test_wire_rejects_a_value_without_wire_form(value, name):
+    with pytest.raises(TypeError) as info:
+        wire({"n": 1, "value": [value]})
+    assert str(info.value) == f"counterexample holds a {name}, which has no wire form"

@@ -44,14 +44,27 @@ def test_modules_use_every_name_they_import():
 
 def test_claims_leave_number_rendering_to_run_claim():
     # a claim returns raw values and run_claim alone puts them in wire
-    # form, so no claim_* function in oracle.py may read number_str
+    # form, so no claim_* function in oracle.py may read number_str or
+    # any to_dict, which would hand it text already rendered
     tree = ast.parse(PACKAGE.joinpath("oracle.py").read_text(encoding="utf-8"))
     claims = [node for node in tree.body
               if isinstance(node, ast.FunctionDef) and node.name.startswith("claim_")]
     reads = [f"{claim.name}:{node.lineno}" for claim in claims for node in ast.walk(claim)
-             if isinstance(node, ast.Name) and node.id == "number_str"]
+             if (isinstance(node, ast.Name) and node.id == "number_str")
+             or (isinstance(node, ast.Attribute) and node.attr == "to_dict")]
     assert len(claims) >= 6
     assert reads == []
+
+
+def test_only_the_verification_report_renders_itself():
+    # the library returns raw values and numeric.wire renders every JSON
+    # payload; VerificationReport.to_dict stays because verify and the
+    # benchmark read a report whole
+    defined = [f"{path.name}:{cls.name}" for path in sorted(PACKAGE.glob("*.py"))
+               for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "to_dict"]
+    assert defined == ["oracle.py:VerificationReport"]
 
 
 

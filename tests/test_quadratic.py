@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fibquad import quadratic
+from fibquad.cli import main
 from fibquad.oracle import _simpson6, simpson_exact
 from fibquad.quadratic import (
     DOUBLE,
@@ -416,8 +418,9 @@ def test_scaling_scales_roots_and_integral():
         assert scaled.integral_abs == k ** 4 * base.integral_abs
 
 
-def test_analysis_report_json_uses_decimal_strings():
-    d = analyze(QuadPoly(3, 30, 27)).to_dict()
+def test_analysis_report_json_uses_decimal_strings(capsys):
+    assert main(["quad", "analyze", "--a", "3", "--b", "30", "--c", "27", "--format", "json"]) == 0
+    d = json.loads(capsys.readouterr().out)
     assert d["roots"]["x1"] == "-1"
     assert d["integral_abs"] == "256"
     assert d["breakdown"] == {"p1": "728", "p2": "-1200", "p3": "216"}

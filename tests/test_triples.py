@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from fibquad.cli import main
 from fibquad.fibonacci import fib_window
 from fibquad.triples import Triple, primitivity, scale, triple_from_window
 
@@ -83,6 +85,8 @@ def test_scaling_preserves_side_ratios():
         assert s.hyp * t.leg_b == s.leg_b * t.hyp
 
 
-def test_to_dict_uses_decimal_strings():
-    d = triple_from_window(fib_window(3)).to_dict()
-    assert d == {"leg_a": "16", "leg_b": "30", "hyp": "34", "gcd": "2", "primitive": False}
+def test_to_dict_uses_decimal_strings(capsys):
+    assert triple_from_window(fib_window(3)).sides() == (16, 30, 34)
+    assert main(["triples", "--from", "3", "--to", "3", "--format", "json"]) == 0
+    [d] = json.loads(capsys.readouterr().out)
+    assert d == {"i": "3", "leg_a": "16", "leg_b": "30", "hyp": "34", "gcd": "2", "primitive": False}
