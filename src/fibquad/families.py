@@ -8,9 +8,8 @@ never from the solver, so comparing them against the general solver is
 a genuine cross-check and not a tautology.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .fibonacci import fib_window
 from .numeric import number_str
@@ -21,8 +20,7 @@ FLAVOR_F = "f"
 FLAVOR_G = "g"
 
 
-@dataclass(frozen=True)
-class FamilyPoly:
+class FamilyPoly(NamedTuple):
     """One family member: its flavor, polynomial, and closed roots."""
 
     flavor: str

@@ -1,4 +1,5 @@
-"""Exact integer helpers and the decimal wire form shared by every other module.
+"""Exact integer helpers, the decimal wire form and the base of the checked
+value types, shared by every other module.
 
 Python ints are already arbitrary precision, and fractions.Fraction keeps
 gcd(|num|, den) = 1 with den > 0 as construction invariants, so both are
@@ -8,6 +9,12 @@ interpreter's int/str digit limit (4300 digits by default), so numbers of
 any length round-trip exactly without touching that process-wide setting.
 The library returns raw values, and wire renders every JSON payload, the
 claims' counterexample records among them.
+
+Every value type of the package is an immutable typing.NamedTuple, equal
+and hashed by value, whose fields cannot be assigned; like any tuple it
+also equals a plain tuple of the same values. A type that checks or fills
+in its fields on construction subclasses a NamedTuple of those fields
+with a __new__ of its own and takes Checked as its first base.
 """
 
 import re
@@ -23,6 +30,20 @@ _INT_TEXT = r"\s*[+-]?\d+(?:_\d+)*\s*"
 
 # The types wire renders as numbers; a bool is no number on the wire.
 _NUMBERS = (int, Fraction)
+
+
+class Checked:
+    """Mixin for a NamedTuple subclass with a __new__ of its own.
+
+    NamedTuple's _make builds through tuple.__new__, and _replace through
+    _make, so both would skip that __new__; here _make calls the class.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def isqrt_exact(x: int) -> Optional[int]:
@@ -75,15 +96,16 @@ def parse_int(text: str) -> int:
 def wire(value: Any) -> Any:
     """The wire form of a record: ints and Fractions as number_str text,
     tuples and lists as lists, dicts in key order, and str, bool and None
-    as they are; anything else raises TypeError. Numbers are told by their
-    concrete type, which is cheaper than isinstance against Fraction (see
-    number_str)."""
+    as they are; anything else raises TypeError. Numbers and sequences are
+    told by their concrete type, which is cheaper than isinstance against
+    Fraction (see number_str) and keeps out the value types, which are
+    tuples but have no wire form."""
     kind = type(value)
     if kind in _NUMBERS:
         return number_str(value)
     if kind is str or kind is bool or value is None:
         return value
-    if isinstance(value, (tuple, list)):  # a number in a row is rendered without a call to wire
+    if kind is tuple or kind is list:  # a number in a row is rendered without a call to wire
         return [number_str(item) if type(item) in _NUMBERS else wire(item) for item in value]
     if isinstance(value, dict):
         return {key: wire(item) for key, item in value.items()}

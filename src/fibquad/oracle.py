@@ -44,13 +44,12 @@ report it.
 
 import math
 import time
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from . import families, quadratic
 from .fibonacci import fib_mod, fib_window, mod3_witness
-from .numeric import number_str, wire
+from .numeric import Checked, number_str, wire
 from .quadratic import (
     POSITIVE,
     QuadPoly,
@@ -64,15 +63,23 @@ from .quadratic import (
 from .triples import Triple, primitivity, scale, triple_from_window
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class _ReportFields(NamedTuple):
+    claim_id: str
+    range: str
+    counterexamples: List[Dict[str, Any]]
+    elapsed: float
+
+
+class VerificationReport(Checked, _ReportFields):
     """Outcome of one claim sweep; it passes exactly when no
     counterexample was found."""
 
-    claim_id: str
-    range: str
-    counterexamples: List[Dict[str, Any]] = field(default_factory=list)
-    elapsed: float = 0.0
+    __slots__ = ()
+
+    def __new__(cls, claim_id: str, range: str, counterexamples: Optional[List[Dict[str, Any]]] = None,
+                elapsed: float = 0.0):
+        """Without counterexamples, each report gets an empty list of its own."""
+        return tuple.__new__(cls, (claim_id, range, [] if counterexamples is None else counterexamples, elapsed))
 
     @property
     def passed(self) -> bool:
@@ -147,17 +154,21 @@ def enumerate_triples(hyp_max: int) -> List[Triple]:
     return found
 
 
-@dataclass(frozen=True)
-class PolyFault:
-    """Deliberate single-coefficient mutation for harness self-tests;
-    construction rejects one that could never change a polynomial."""
-
+class _FaultFields(NamedTuple):
     flavor: str  # "f" or "g"
     index: int   # window index whose polynomial gets corrupted
     coeff: str   # "a", "b", or "c"
     delta: int = 1
 
-    def __post_init__(self):
+
+class PolyFault(Checked, _FaultFields):
+    """Deliberate single-coefficient mutation for harness self-tests;
+    construction rejects one that could never change a polynomial."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.flavor not in (families.FLAVOR_F, families.FLAVOR_G):
             raise ValueError(f"fault flavor must be 'f' or 'g', got {self.flavor!r}")
         if self.coeff not in ("a", "b", "c"):
@@ -166,19 +177,15 @@ class PolyFault:
             raise ValueError(f"fault index must be >= 1, got {number_str(self.index)}")
         if self.delta == 0:
             raise ValueError("fault delta must be nonzero")
+        return self
 
     def apply(self, i: int, flavor: str, poly: QuadPoly) -> QuadPoly:
         if i != self.index or flavor != self.flavor:
             return poly
-        coeffs = dict(zip("abc", poly.coeffs()))
-        coeffs[self.coeff] += self.delta
-        return QuadPoly(**coeffs)
+        return poly._replace(**{self.coeff: getattr(poly, self.coeff) + self.delta})
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Bounds for the registered claims; defaults match the CLI defaults."""
-
+class _SweepFields(NamedTuple):
     triples_max: int = 200
     scale_max: int = 50
     roots_max: int = 100
@@ -187,14 +194,20 @@ class SweepConfig:
     theorem3_max: int = 100
     fault: Optional[PolyFault] = None
 
-    def __post_init__(self):
-        for f in fields(self):
-            bound = getattr(self, f.name)
-            if f.name != "fault" and bound < 1:
-                raise ValueError(f"{f.name} must be >= 1, got {number_str(bound)}")
+
+class SweepConfig(Checked, _SweepFields):
+    """Bounds for the registered claims; defaults match the CLI defaults."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, bound in zip(self._fields, self):
+            if name != "fault" and bound < 1:
+                raise ValueError(f"{name} must be >= 1, got {number_str(bound)}")
         fault = self.fault
         if fault is None:
-            return
+            return self
         if fault.index > self.theorem3_max:
             raise ValueError(f"fault index {number_str(fault.index)} exceeds theorem3_max, "
                              "so it could never fire")
@@ -203,11 +216,12 @@ class SweepConfig:
             if build(fault.index).poly.a + fault.delta == 0:
                 raise ValueError(f"fault {fault.flavor}/{number_str(fault.index)} zeroes the leading "
                                  "coefficient, so the member is no quadratic")
+        return self
 
     @classmethod
     def uniform(cls, bound: int) -> "SweepConfig":
         """Every sweep bound set to bound, as `verify --max` asks."""
-        return cls(**{f.name: bound for f in fields(cls) if f.name != "fault"})
+        return cls(**{name: bound for name in cls._fields if name != "fault"})
 
 
 def claim_window_triples(config: SweepConfig) -> Found:

@@ -7,12 +7,11 @@ x = -hyp with value -leg*other**2, and the root-to-root integral is
 q~(x) = -q(-x), which negates roots, vertex, and signed integral.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
-from .numeric import isqrt_exact, number_str
+from .numeric import Checked, isqrt_exact, number_str
 
 TWO_DISTINCT = "two-distinct"
 DOUBLE = "double"
@@ -22,24 +21,27 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 
 
-@dataclass(frozen=True)
-class QuadPoly:
-    """Integer-coefficient quadratic a*x^2 + b*x + c with a != 0."""
-
+class _QuadFields(NamedTuple):
     a: int
     b: int
     c: int
 
-    def __post_init__(self):
-        if self.a == 0:
+
+class QuadPoly(Checked, _QuadFields):
+    """Integer-coefficient quadratic a*x^2 + b*x + c with a != 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int):
+        if a == 0:
             raise ValueError("leading coefficient must be nonzero")
+        return tuple.__new__(cls, (a, b, c))
 
     def coeffs(self) -> Tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
 
-@dataclass(frozen=True)
-class RootPair:
+class RootPair(NamedTuple):
     """Exact roots when they are rational; kind tells which case applies.
 
     x1 carries the +sqrt branch of the root formula, x2 the -sqrt branch,
@@ -52,8 +54,7 @@ class RootPair:
     kind: str
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Roots, vertex, discriminant, and exact root-to-root integral.
 
     Integral fields are None when the roots are not rational. The signed

@@ -8,32 +8,35 @@ with gcd 2). Legs stay in generation order because the quadratic
 construction cares which leg seeds the coefficients.
 """
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
-from .numeric import number_str
+from .numeric import Checked, number_str
 
 
-@dataclass(frozen=True)
-class Triple:
-    """Pythagorean triple; construction fails unless a^2 + b^2 = c^2."""
-
+class _TripleFields(NamedTuple):
     leg_a: int
     leg_b: int
     hyp: int
 
-    def __post_init__(self):
-        if self.leg_a <= 0 or self.leg_b <= 0 or self.hyp <= 0:
-            raise ValueError(f"triple sides must be positive: ({self._sides_str()})")
-        if self.leg_a ** 2 + self.leg_b ** 2 != self.hyp ** 2:
-            raise ValueError(f"not a Pythagorean triple: ({self._sides_str()})")
+
+class Triple(Checked, _TripleFields):
+    """Pythagorean triple; construction fails unless a^2 + b^2 = c^2."""
+
+    __slots__ = ()
+
+    def __new__(cls, leg_a: int, leg_b: int, hyp: int):
+        if leg_a <= 0 or leg_b <= 0 or hyp <= 0:
+            problem = "triple sides must be positive"
+        elif leg_a ** 2 + leg_b ** 2 != hyp ** 2:
+            problem = "not a Pythagorean triple"
+        else:
+            return tuple.__new__(cls, (leg_a, leg_b, hyp))
+        sides = ", ".join(map(number_str, (leg_a, leg_b, hyp)))
+        raise ValueError(f"{problem}: ({sides})")
 
     def sides(self) -> Tuple[int, int, int]:
         return (self.leg_a, self.leg_b, self.hyp)
-
-    def _sides_str(self) -> str:
-        return ", ".join(map(number_str, self.sides()))
 
 
 def triple_from_window(w: Tuple[int, int, int, int]) -> Triple:

@@ -445,6 +445,19 @@ def test_import_builds_no_parser():
     assert at_import == 0 and after_build > 0
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    """Importing fibquad.cli leaves dataclasses and inspect unloaded; they
+    would take more than half of the import. -S skips site, so no .pth file
+    can load either one first."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    check = ("import sys; sys.path.insert(0, sys.argv[1]); import fibquad.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", check, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("stderr", [subprocess.STDOUT, subprocess.PIPE], ids=["stderr-merged", "stderr-apart"])
 def test_closed_pipe_exits_2_without_traceback(stderr):
     """`fibquad ... | head -c 10` is an output error, exit 2: never 1, which

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fibquad.numeric import isqrt_exact, number_str, parse_int, wire
+from fibquad.quadratic import QuadPoly
+from fibquad.triples import Triple
 
 
 def test_isqrt_exact_examples():
@@ -177,8 +179,9 @@ def test_wire_passes_str_bool_and_none_through(value):
     assert wire([value]) == [value]
 
 
-@pytest.mark.parametrize("value, name", [(1.5, "float"), (1j, "complex"), (object(), "object")],
-                         ids=["float", "complex", "object"])
+@pytest.mark.parametrize("value, name", [(1.5, "float"), (1j, "complex"), (object(), "object"),
+                                         (QuadPoly(1, 2, 3), "QuadPoly"), (Triple(3, 4, 5), "Triple")],
+                         ids=["float", "complex", "object", "QuadPoly", "Triple"])
 def test_wire_rejects_a_value_without_wire_form(value, name):
     with pytest.raises(TypeError) as info:
         wire({"n": 1, "value": [value]})
