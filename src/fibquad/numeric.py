@@ -68,6 +68,13 @@ def number_str(x: Union[int, Fraction]) -> str:
     first. Fraction's metaclass is ABCMeta, and isinstance against it runs
     the slow ABC check for every value that is not a Fraction, which would
     cost an int several times its own str().
+
+    Below the limit str() is quadratic too, yet it beat a split renderer
+    (x halved on powers of 2 and joined in decimal under an exact
+    context, as CPython 3.12's _pylong does, with 128-, 512- and 2048-bit
+    leaves) at every size measured from 500 to 4200 digits on Python
+    3.11.7: 317 us against the best split's 363 us at 4200 digits. So
+    the fallback starts at the digit limit and not below it.
     """
     if type(x) is not int and isinstance(x, Fraction) and x.denominator == 1:
         x = x.numerator
