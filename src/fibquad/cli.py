@@ -5,10 +5,9 @@ Exit codes: 0 success (all claims pass), 1 verification counterexample,
 2 usage, input or output error (a closed pipe among them), 3 internal error
 (an unexpected exception). Every subcommand takes --format json|csv|table
 and prints through one emitter. Numbers of any length are emitted and
-accepted as exact decimal strings, rationals as "num/den". JSON is laid
-out by this module's own writer, byte for byte as json.dumps(indent=2)
-lays it out, so importing the module loads neither json nor csv; csv is
-imported when a command prints CSV.
+accepted as exact decimal strings, rationals as "num/den". json and csv
+are imported only when a command prints JSON or CSV, so importing the
+module loads neither.
 
 main(argv) may be called any number of times in one process: it returns the
 exit code, and it builds its parser on the first call and reuses it after.
@@ -92,68 +91,20 @@ def _analysis_json(row: list) -> dict:
             "integral_abs": absolute, "breakdown": None if p1 is None else {"p1": p1, "p2": p2, "p3": p3}}
 
 
-def _plain(text: str) -> bool:
-    """Whether text stands in JSON as itself between two quotes: printable
-    ASCII (DEL and the controls are not) with no quote and no backslash."""
-    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
-
-
-def _escaped(text: str) -> str:
-    """text as a JSON string with json's own escapes; json is imported only
-    here, for the rare text that needs one."""
-    from json.encoder import encode_basestring_ascii
-    return encode_basestring_ascii(text)
-
-
-# repr's spelling of the floats that JSON has no number for, in json's words
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_text(value, newline: str = "\n") -> str:
-    """Exactly the text of json.dumps(value, indent=2) for a wire-form value:
-    dicts with str keys, lists, str, bool and None, which is what
-    numeric.wire returns, and floats, a report's elapsed. Anything else,
-    an int or a tuple among them, raises TypeError. newline is the line
-    break and indent that precede value's closing bracket."""
-    kind = type(value)
-    if kind is str:
-        return f'"{value}"' if _plain(value) else _escaped(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        if _plain("".join(value)):  # every key at once; a key that is no str raises TypeError
-            items = [f'"{key}": {_json_text(item, inner)}' for key, item in value.items()]
-        else:
-            items = [f"{_escaped(key)}: {_json_text(item, inner)}" for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list:
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_json_text(item, inner) for item in value]) + newline + "]"
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is float:
-        text = repr(value)
-        return _FLOAT_WORDS.get(text, text)
-    raise TypeError(f"a {kind.__name__} has no JSON form")
-
-
 def _emit(fmt: str, header: List[str], rows: Callable[[], List[list]], payload: Callable[[], object],
           table: Optional[Callable[[], str]] = None) -> None:
     """Print one command's result in fmt, building only what fmt prints.
 
     json prints payload(), which a command builds from its raw rows
-    through numeric.wire, the one renderer of every JSON payload, as
-    _json_text lays it out; csv prints header and rows() through the csv
-    module, imported only then; table prints table() for a command with
-    its own layout, else header and rows() as left-aligned columns.
+    through numeric.wire, the one renderer of every JSON payload, with
+    json.dumps(indent=2); csv prints header and rows() through the csv
+    module; table prints table() for a command with its own layout, else
+    header and rows() as left-aligned columns. json and csv are imported
+    only in their branch.
     """
     if fmt == "json":
-        print(_json_text(payload()))
+        import json
+        print(json.dumps(payload(), indent=2))
     elif fmt == "table" and table is not None:
         print(table())
     else:
@@ -228,7 +179,8 @@ def cmd_verify(args) -> int:
     def table():
         lines = [f"{r.status.upper():4}  {r.claim_id:10} ({r.range})  [{r.elapsed:.3f}s]" for r in reports]
         if failed:
-            lines.append(_json_text([r.to_dict() for r in failed]))
+            import json
+            lines.append(json.dumps([r.to_dict() for r in failed], indent=2))
         return "\n".join(lines)
 
     _emit(args.format, ["claim", "range", "status", "counterexamples", "elapsed"],

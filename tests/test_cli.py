@@ -11,7 +11,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
 
 from fibquad import cli, svgplot
 from fibquad.cli import FORMATS, main
@@ -74,36 +73,6 @@ def test_cell_renders_text_none_bools_and_numbers():
     assert cli._cell(Fraction(6, 3)) == "2"
     assert cli._cell(Fraction(-3, 2)) == "-3/2"
     assert cli._cell(-(10 ** 5000)) == number_str(-(10 ** 5000))
-
-
-# Text that json escapes: a quote, a backslash, controls, DEL, non-ASCII
-# letters and an astral character, which it writes as a surrogate pair.
-TRICKY = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\x80", "ü", " ", "😀", "a\"b\\c"])
-TEXT = st.text() | TRICKY | st.lists(TRICKY).map("".join)
-WIRE_FORM = st.recursive(
-    TEXT | st.booleans() | st.none() | st.floats(allow_nan=True, allow_infinity=True),
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(TEXT, children, max_size=4),
-    max_leaves=30)
-
-
-@given(WIRE_FORM)
-@example({})
-@example([])
-@example({"": [], "a": {}, "b": [{}, [[]]]})
-@example([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 0.1])
-@example({"\x7f": "\x7f", '"': "\\", "😀": "ü \x00"})
-def test_json_text_is_json_dumps_with_indent_2(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize("value", [0, 12, Fraction(1, 3), (), ("a",), {1: "a"}, {None: "a"},
-                                   {"a": 1}, ["a", (1,)], {"a": [{"b": Fraction(2)}]}, b"a"],
-                         ids=repr)
-def test_json_text_rejects_what_wire_never_returns(value):
-    """numeric.wire turns every number into text and every tuple into a list,
-    and keeps str keys; anything else reaching the writer is a bug."""
-    with pytest.raises(TypeError):
-        cli._json_text(value)
 
 
 def test_triples_table(capsys):
@@ -501,17 +470,16 @@ def test_import_loads_no_dataclasses_or_inspect():
     assert proc.stdout == "[]\n"
 
 
-def test_csv_from_a_fresh_interpreter_is_byte_exact():
-    """csv is imported only when a command prints csv, so a cold run must
-    load it then: triples 1..3 prints the golden header and first three rows
-    of triples 1..5."""
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_lazy_format_from_a_fresh_interpreter_is_byte_exact(fmt):
+    """csv and json are imported only when a command prints them, so a cold
+    run must load them then and still print the golden bytes."""
+    argv = f"triples --from 1 --to 5 --format {fmt}"
     src = str(Path(cli.__file__).resolve().parent.parent)
     run = "import sys; sys.path.insert(0, sys.argv[1]); from fibquad.cli import main; sys.exit(main(sys.argv[2:]))"
-    proc = subprocess.run([sys.executable, "-I", "-c", run, src, "triples", "--from", "1", "--to", "3",
-                           "--format", "csv"], capture_output=True, timeout=120)
-    golden = GOLDEN["triples --from 1 --to 5 --format csv"]
+    proc = subprocess.run([sys.executable, "-I", "-c", run, src, *argv.split()], capture_output=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout.decode() == "".join(golden["stdout"].splitlines(keepends=True)[:4])
+    assert proc.stdout.decode() == GOLDEN[argv]["stdout"]
 
 
 @pytest.mark.parametrize("stderr", [subprocess.STDOUT, subprocess.PIPE], ids=["stderr-merged", "stderr-apart"])
