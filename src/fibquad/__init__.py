@@ -12,14 +12,16 @@ from .families import (
     build_g,
     family_345,
     family_345_integral_abs,
+    members,
 )
 from .fibonacci import (
     fib,
     fib_mod,
     fib_window,
     mod3_witness,
+    windows,
 )
-from .numeric import isqrt_exact, number_str, parse_int
+from .numeric import number_str, parse_int
 from .oracle import (
     PolyFault,
     SweepConfig,
@@ -44,11 +46,10 @@ from .quadratic import (
     evaluate,
     integral_breakdown,
     integrate,
-    roots_via_triple,
     solve_quadratic,
     vertex,
 )
-from .svgplot import render_quadratic_svg, write_quadratic_svg
+from .svgplot import render_quadratic_svg
 from .triples import Triple, primitivity, scale, triple_from_window
 
 __version__ = "0.1.0"

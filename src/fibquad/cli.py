@@ -21,10 +21,10 @@ import sys
 from typing import Callable, List, Optional
 
 from . import families, oracle
-from .fibonacci import fib, fib_mod, fib_window
+from .fibonacci import fib, fib_mod, windows
 from .numeric import number_str, parse_int, wire
 from .quadratic import NEGATIVE, POSITIVE, QuadPoly, analyze, build_quadratic
-from .svgplot import SAMPLES, write_quadratic_svg
+from .svgplot import SAMPLES, render_quadratic_svg
 from .triples import primitivity, scale, triple_from_window
 
 EXIT_OK = 0
@@ -73,11 +73,11 @@ def _cell(value) -> str:
 
 def _triple_row(t) -> list:
     is_primitive, g = primitivity(t)
-    return [*t.sides(), g, is_primitive]
+    return [*t, g, is_primitive]
 
 
 def _analysis_row(r) -> list:
-    return [*r.poly.coeffs(), r.roots.kind, r.roots.x1, r.roots.x2, r.vertex_x, r.vertex_y,
+    return [*r.poly, r.roots.kind, r.roots.x1, r.roots.x2, r.vertex_x, r.vertex_y,
             r.discriminant, r.integral_signed, r.integral_abs, *(r.breakdown or [None] * 3)]
 
 
@@ -129,8 +129,8 @@ def cmd_triples(args) -> int:
     if args.i_from > args.i_to:
         raise ValueError(f"--from {number_str(args.i_from)} exceeds --to {number_str(args.i_to)}")
     header, rows = ["i", *TRIPLE_COLUMNS], []
-    for i in range(args.i_from, args.i_to + 1):
-        t = triple_from_window(fib_window(i))
+    for i, w in enumerate(windows(args.i_from, args.i_to), args.i_from):
+        t = triple_from_window(w)
         rows.append([i, *_triple_row(scale(t, args.scale) if args.scale > 1 else t)])
     _emit(args.format, header, lambda: rows, lambda: [dict(zip(header, wire(row))) for row in rows])
     return EXIT_OK
@@ -160,7 +160,7 @@ def cmd_family(args) -> int:
             members.append((n, flavor, t, r, closed, r.integral_abs == closed))
     _emit(args.format,
           ["n", "a", "b", "c", "x1", "x2", "vx", "vy", "integral_abs", "flavor", "closed_form", "match"],
-          lambda: [[n, *r.poly.coeffs(), r.roots.x1, r.roots.x2, r.vertex_x, r.vertex_y,
+          lambda: [[n, *r.poly, r.roots.x1, r.roots.x2, r.vertex_x, r.vertex_y,
                     r.integral_abs, flavor, closed, match]
                    for n, flavor, t, r, closed, match in members],
           lambda: [{"n": wire(n), "flavor": flavor, "triple": dict(zip(TRIPLE_COLUMNS, wire(_triple_row(t)))),
@@ -193,8 +193,10 @@ def cmd_verify(args) -> int:
 def cmd_plot(args) -> int:
     orientation = NEGATIVE if args.neg else POSITIVE
     q = build_quadratic(args.leg, args.hyp, orientation)
-    write_quadratic_svg(args.out, q)
-    row = [args.out, SAMPLES, *q.coeffs()]
+    svg = render_quadratic_svg(q)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(svg)
+    row = [args.out, SAMPLES, *q]
 
     def payload():
         out, samples, a, b, c = wire(row)
@@ -258,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("verify", help="run verification sweeps")
-    p.add_argument("claim", choices=("all",) + oracle.CLAIM_ORDER)
+    p.add_argument("claim", choices=("all", *oracle.CLAIMS))
     p.add_argument("--max", type=_positive, default=None,
                    help="set every sweep bound of the selected claims; the mod3 window "
                         f"scan stays at {oracle.WITNESS_MAX} or below")

@@ -3,9 +3,9 @@
 
 Flavor f seeds the coefficients with the product leg t0*t3 of a window
 of four terms (t0, t1, t2, t3); flavor g with the doubled-product leg
-2*t1*t2. The closed-form roots come straight from triple_from_window,
-never from the solver, so comparing them against the general solver is
-a genuine cross-check and not a tautology.
+2*t1*t2; members builds both from one triple_from_window, so the closed
+roots never come from the solver, and comparing them against the general
+solver is a genuine cross-check and not a tautology.
 """
 
 from fractions import Fraction
@@ -28,16 +28,14 @@ class FamilyPoly(NamedTuple):
     closed_roots: RootPair
 
 
-def _member(w: Tuple[int, int, int, int], flavor: str) -> FamilyPoly:
-    """Member of either flavor from the triple of window terms w: the seed
-    leg is leg_a (f) or leg_b (g), and the closed roots are -hyp +/- the
-    other leg. For build_f and build_g, fib_window rejects i < 0 and
-    Triple the zero leg of i = 0."""
-    t = triple_from_window(w)
-    leg, other = (t.leg_a, t.leg_b) if flavor == FLAVOR_F else (t.leg_b, t.leg_a)
-    poly = QuadPoly(leg, 2 * leg * t.hyp, leg ** 3)
-    roots = RootPair(Fraction(-t.hyp + other), Fraction(-t.hyp - other), TWO_DISTINCT)
-    return FamilyPoly(flavor, poly, roots)
+def members(w: Tuple[int, int, int, int]) -> Tuple[FamilyPoly, FamilyPoly]:
+    """Flavor-f and flavor-g members of window terms w, from one triple:
+    each seeds with its leg, leg_a (f) or leg_b (g), and its closed roots
+    are -hyp +/- the other leg. Triple rejects the zero leg of window 0."""
+    leg_a, leg_b, hyp = triple_from_window(w)
+    return tuple(FamilyPoly(flavor, QuadPoly(leg, 2 * leg * hyp, leg ** 3),
+                            RootPair(Fraction(-hyp + other), Fraction(-hyp - other), TWO_DISTINCT))
+                 for flavor, leg, other in ((FLAVOR_F, leg_a, leg_b), (FLAVOR_G, leg_b, leg_a)))
 
 
 def build_f(i: int) -> FamilyPoly:
@@ -46,7 +44,7 @@ def build_f(i: int) -> FamilyPoly:
     Coefficients (alpha, 2*alpha*gamma, alpha^3) with alpha = t0*t3 and
     gamma = t1^2 + t2^2; closed roots -(t2 - t1)^2 and -(t1 + t2)^2.
     """
-    return _member(fib_window(i), FLAVOR_F)
+    return members(fib_window(i))[0]
 
 
 def build_g(i: int) -> FamilyPoly:
@@ -55,7 +53,7 @@ def build_g(i: int) -> FamilyPoly:
     Coefficients (beta, 2*beta*gamma, beta^3) with beta = 2*t1*t2; closed
     roots -gamma + alpha and -gamma - alpha.
     """
-    return _member(fib_window(i), FLAVOR_G)
+    return members(fib_window(i))[1]
 
 
 BASE_TRIPLE = Triple(3, 4, 5)

@@ -4,13 +4,14 @@ fib, fib_window and fib_mod share one fast-doubling loop, which gives
 F(n) and F(n+1) together in O(log n) steps. fib_mod reduces modulo m at
 every step, so it never materializes the full term and n = 10^18 is
 instant. A window is the plain 4-tuple of its terms, made by fib_window
-from its index, so its terms are canonical by construction. The
+from its index, so its terms are canonical by construction; windows(lo,
+hi) steps on from one fib_window(lo) at one addition per window. The
 divisibility sweep F(4n) = 0 (mod 3) is the mod3 claim in oracle, and
 mod3_witness names the divisible term of window i by the index rule,
 which that claim checks against a scan.
 """
 
-from typing import Tuple
+from typing import Iterator, Tuple
 
 from .numeric import number_str
 
@@ -49,6 +50,15 @@ def fib_window(i: int) -> Tuple[int, int, int, int]:
     _check_index(i)
     f0, f1 = _fib_pair(i)
     return f0, f1, f0 + f1, f0 + 2 * f1
+
+
+def windows(lo: int, hi: int) -> Iterator[Tuple[int, int, int, int]]:
+    """Windows lo..hi in order, lazily: fib_window(lo), then each next one
+    by (t0, t1, t2, t3) -> (t1, t2, t3, t2 + t3). Nothing when hi < lo."""
+    t0, t1, t2, t3 = fib_window(lo)
+    for _ in range(lo, hi + 1):
+        yield t0, t1, t2, t3
+        t0, t1, t2, t3 = t1, t2, t3, t2 + t3
 
 
 def fib_mod(n: int, m: int) -> int:

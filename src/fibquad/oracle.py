@@ -7,7 +7,8 @@ its kernel _antiderivative6; enumerate_triples scans every hypotenuse and
 shares nothing with the window construction (it is quadratic in the
 hypotenuse, so only the tests run it, on small windows).
 
-What each registered claim checks:
+What each registered claim checks, every window sweep reading its
+windows from fibonacci.windows:
 
 - window-triples: the paper's product form (t0*t3, 2*t1*t2, t1^2 + t2^2)
   satisfies the Pythagorean identity and equals triple_from_window's
@@ -23,13 +24,14 @@ What each registered claim checks:
   must match at every multiple of 4, and a scan of windows
   1..min(mod3_max, WITNESS_MAX) finds exactly one term divisible by 3 in
   each, at the position mod3_witness derives from the index alone.
-- theorem3: one pass over the f/g window members, each built once; per
-  member the solver against the closed roots, integrality of the
-  root-to-root integral and of its parts P1, P2, P3, Simpson against that
-  same integral and substitution of both closed roots. Every check runs
-  in plain integers on the library's own kernels (the solver's
-  discriminant root, _antiderivative6, _breakdown6 and _simpson6), and a
-  Fraction is built only to report a counterexample.
+- theorem3: one pass over the windows, whose f and g members
+  families.members builds once from one triple; per member the solver
+  against the closed roots, integrality of the root-to-root integral and
+  of its parts P1, P2, P3, Simpson against that same integral and
+  substitution of both closed roots. Every check runs in plain integers
+  on the library's own kernels (the solver's discriminant root,
+  _antiderivative6, _breakdown6 and _simpson6), and a Fraction is built
+  only to report a counterexample.
 
 A claim returns only its scope and its counterexamples, as records of raw
 ints, Fractions, tuples and text; run_claim looks it up in the CLAIMS
@@ -48,7 +50,7 @@ from fractions import Fraction
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from . import families, quadratic
-from .fibonacci import fib_mod, fib_window, mod3_witness
+from .fibonacci import fib_mod, mod3_witness, windows
 from .numeric import Checked, number_str, wire
 from .quadratic import (
     POSITIVE,
@@ -99,8 +101,9 @@ class VerificationReport(Checked, _ReportFields):
         }
 
 
-# Windows the mod3 claim scans for the witness, at most; the scan builds
-# every window, so it stops well below the lemma sweep's mod3_max.
+# Windows the mod3 claim scans for the witness, at most. Each window costs
+# one addition and four % 3 on terms of O(i) digits, so the scan is
+# quadratic in its bound and stops well below the lemma sweep's mod3_max.
 WITNESS_MAX = 500
 
 # What a claim found: its scope, as the report's range, and its raw
@@ -229,12 +232,12 @@ def claim_window_triples(config: SweepConfig) -> Found:
     Pythagorean identity and equals triple_from_window, whose side gcd
     is 2 exactly when 3 divides i (t1 and t2 both odd), else 1."""
     counterexamples = []
-    for i in range(1, config.triples_max + 1):
-        w = t0, t1, t2, t3 = fib_window(i)
+    for i, w in enumerate(windows(1, config.triples_max), 1):
+        t0, t1, t2, t3 = w
         alpha, beta, gamma = t0 * t3, 2 * t1 * t2, t1 * t1 + t2 * t2
         if alpha <= 0 or beta <= 0 or gamma <= 0 or alpha * alpha + beta * beta != gamma * gamma:
             problem = "alpha^2 + beta^2 != gamma^2"
-        elif (t := triple_from_window(w)).sides() != (alpha, beta, gamma):
+        elif (t := triple_from_window(w)) != (alpha, beta, gamma):
             problem = "construction disagrees with direct products"
         elif primitivity(t)[1] != (2 if i % 3 == 0 else 1):
             problem = "side gcd off the parity law"
@@ -248,18 +251,18 @@ def claim_scaling(config: SweepConfig) -> Found:
     """Scaling: identity survives multiplication by k and the side gcd
     multiplies by exactly k."""
     counterexamples = []
-    bases = [triple_from_window(fib_window(i)) for i in range(1, 7)]
+    bases = [triple_from_window(w) for w in windows(1, 6)]
     for t in bases:
         base_g = primitivity(t)[1]
         for k in range(1, config.scale_max + 1):
             s = scale(t, k)
-            if s.sides() != tuple(k * side for side in t.sides()):
+            if s != tuple(k * side for side in t):
                 problem = "sides not scaled componentwise"
             elif primitivity(s)[1] != k * base_g:
                 problem = "gcd did not scale by k"
             else:
                 continue
-            counterexamples.append({"triple": t.sides(), "k": k, "problem": problem})
+            counterexamples.append({"triple": tuple(t), "k": k, "problem": problem})
     return f"window triples 1..6, k in 1..{config.scale_max}", counterexamples
 
 
@@ -268,8 +271,8 @@ def claim_roots(config: SweepConfig) -> Found:
     roots_via_triple's -hyp +/- other and be integers, for both choices
     of seed leg."""
     counterexamples = []
-    for i in range(1, config.roots_max + 1):
-        t = triple_from_window(fib_window(i))
+    for i, w in enumerate(windows(1, config.roots_max), 1):
+        t = triple_from_window(w)
         for leg, other in ((t.leg_a, t.leg_b), (t.leg_b, t.leg_a)):
             rp = solve_quadratic(build_quadratic(leg, t.hyp, POSITIVE))
             if rp != roots_via_triple(leg, other, t.hyp):
@@ -324,9 +327,9 @@ def claim_mod3(config: SweepConfig) -> Found:
         else:
             continue
         counterexamples.append({"n": idx // 4, "index": idx, **found})
-    windows = min(config.mod3_max, WITNESS_MAX)
-    for i in range(1, windows + 1):
-        hits = [pos for pos, term in enumerate(fib_window(i)) if term % 3 == 0]
+    scanned = min(config.mod3_max, WITNESS_MAX)
+    for i, w in enumerate(windows(1, scanned), 1):
+        hits = [pos for pos, term in enumerate(w) if term % 3 == 0]
         if len(hits) != 1:
             problem = f"{len(hits)} terms divisible by 3"
         elif mod3_witness(i) != hits[0]:
@@ -334,7 +337,7 @@ def claim_mod3(config: SweepConfig) -> Found:
         else:
             continue
         counterexamples.append({"i": i, "problem": problem})
-    return f"multiples 4n with n in 1..{config.mod3_max}; windows 1..{windows}", counterexamples
+    return f"multiples 4n with n in 1..{config.mod3_max}; windows 1..{scanned}", counterexamples
 
 
 def _roots_record(rp: RootPair) -> Dict[str, Any]:
@@ -343,8 +346,8 @@ def _roots_record(rp: RootPair) -> Dict[str, Any]:
 
 def claim_theorem3(config: SweepConfig) -> Found:
     """Integer-integral sweep with the independent oracles in the same
-    pass: each member of windows 1..theorem3_max is built once, flavor f
-    then g, the configured fault, if any, is applied, and every check
+    pass: both members of each window 1..theorem3_max are built once,
+    from its one triple, flavor f then g, the configured fault, if any, is applied, and every check
     reads that one polynomial.
 
     The closed roots x1 = -hyp + other > x2 = -hyp - other are integers,
@@ -361,8 +364,8 @@ def claim_theorem3(config: SweepConfig) -> Found:
     disc_root, antiderivative6, breakdown6 = (
         quadratic._discriminant_root, quadratic._antiderivative6, quadratic._breakdown6)
     counterexamples = []
-    for i in range(1, config.theorem3_max + 1):
-        for member in (families.build_f(i), families.build_g(i)):
+    for i, w in enumerate(windows(1, config.theorem3_max), 1):
+        for member in families.members(w):
             flavor, closed = member.flavor, member.closed_roots
             poly = member.poly if fault is None else fault.apply(i, flavor, member.poly)
             a, b, c = poly.a, poly.b, poly.c
@@ -398,13 +401,11 @@ CLAIMS = {
     "theorem3": claim_theorem3,
 }
 
-CLAIM_ORDER = tuple(CLAIMS)
-
 
 def run_claim(name: str, config: Optional[SweepConfig] = None) -> VerificationReport:
     """Run one registered claim by name, timed, as its report."""
     if name not in CLAIMS:
-        raise ValueError(f"unknown claim {name!r}; known: {', '.join(CLAIM_ORDER)}")
+        raise ValueError(f"unknown claim {name!r}; known: {', '.join(CLAIMS)}")
     start = time.perf_counter()
     scope, counterexamples = CLAIMS[name](config or SweepConfig())
     return VerificationReport(name, scope, wire(counterexamples), time.perf_counter() - start)
@@ -414,5 +415,5 @@ def run_all_claims(config: Optional[SweepConfig] = None,
                    names: Optional[List[str]] = None) -> List[VerificationReport]:
     """Run the registered claims (all by default) in registry order."""
     config = config or SweepConfig()
-    selected = CLAIM_ORDER if names is None else tuple(names)
+    selected = CLAIMS if names is None else names
     return [run_claim(name, config) for name in selected]

@@ -37,9 +37,6 @@ class QuadPoly(Checked, _QuadFields):
             raise ValueError("leading coefficient must be nonzero")
         return tuple.__new__(cls, (a, b, c))
 
-    def coeffs(self) -> Tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
 
 class RootPair(NamedTuple):
     """Exact roots when they are rational; kind tells which case applies.

@@ -112,10 +112,3 @@ def render_quadratic_svg(q: QuadPoly) -> str:
     parts.append(tail.format(r1=r1, r2=r2, x1=number_str(roots.x1), x2=number_str(roots.x2),
                              vx=number_str(vx), vy=number_str(vy)))
     return "\n".join(parts)
-
-
-def write_quadratic_svg(path: str, q: QuadPoly) -> None:
-    """Render q and write the SVG document to path."""
-    svg = render_quadratic_svg(q)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)

@@ -35,9 +35,6 @@ class Triple(Checked, _TripleFields):
         sides = ", ".join(map(number_str, (leg_a, leg_b, hyp)))
         raise ValueError(f"{problem}: ({sides})")
 
-    def sides(self) -> Tuple[int, int, int]:
-        return (self.leg_a, self.leg_b, self.hyp)
-
 
 def triple_from_window(w: Tuple[int, int, int, int]) -> Triple:
     """Triple (t0*t3, 2*t1*t2, t1^2 + t2^2) from window terms t0..t3, by

@@ -60,7 +60,7 @@ def test_criterion_1_f_family_base_values():
 
     elapsed, (q, rep) = best_of(3, body)
     ok = (
-        q.coeffs() == (3, 30, 27)
+        q == (3, 30, 27)
         and (rep.roots.x1, rep.roots.x2) == (-1, -9)
         and (rep.vertex_x, rep.vertex_y) == (-5, -48)
         and rep.integral_abs == 256
@@ -76,7 +76,7 @@ def test_criterion_2_g_family_base_values():
 
     elapsed, (q, rep) = best_of(3, body)
     ok = (
-        q.coeffs() == (4, 40, 64)
+        q == (4, 40, 64)
         and (rep.roots.x1, rep.roots.x2) == (-2, -8)
         and (rep.vertex_x, rep.vertex_y) == (-5, -36)
         and rep.integral_abs == 144
@@ -112,7 +112,7 @@ def test_criterion_4_theorem1_sweep_to_200():
         w = f0, f1, f2, f3 = fib_window(i)
         alpha, beta, gamma = f0 * f3, 2 * f1 * f2, f1 * f1 + f2 * f2
         ok = ok and alpha * alpha + beta * beta == gamma * gamma
-        ok = ok and triple_from_window(w).sides() == (alpha, beta, gamma)
+        ok = ok and triple_from_window(w) == (alpha, beta, gamma)
         if not ok:
             break
     elapsed = time.perf_counter() - t0
@@ -170,7 +170,7 @@ def test_criterion_7_simpson_equals_antiderivative_1000_trials():
 def test_criterion_8_documented_primitivity_deviation():
     t0 = time.perf_counter()
     t = triple_from_window(fib_window(3))
-    ok = t.sides() == (16, 30, 34) and primitivity(t) == (False, 2)
+    ok = t == (16, 30, 34) and primitivity(t) == (False, 2)
     readme = README.read_text(encoding="utf-8")
     ok = ok and "(16, 30, 34)" in readme and "not always primitive" in readme
     elapsed = time.perf_counter() - t0

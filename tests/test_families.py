@@ -18,29 +18,29 @@ from fibquad.triples import triple_from_window
 
 def test_build_f_examples():
     m = build_f(1)
-    assert m.poly.coeffs() == (3, 30, 27)
+    assert m.poly == (3, 30, 27)
     assert (m.closed_roots.x1, m.closed_roots.x2) == (-1, -9)
 
     m = build_f(2)
-    assert m.poly.coeffs() == (5, 130, 125)
+    assert m.poly == (5, 130, 125)
     assert (m.closed_roots.x1, m.closed_roots.x2) == (-1, -25)
 
     m = build_f(3)
-    assert m.poly.coeffs() == (16, 1088, 4096)
+    assert m.poly == (16, 1088, 4096)
     assert (m.closed_roots.x1, m.closed_roots.x2) == (-4, -64)
 
 
 def test_build_g_examples():
     m = build_g(1)
-    assert m.poly.coeffs() == (4, 40, 64)
+    assert m.poly == (4, 40, 64)
     assert (m.closed_roots.x1, m.closed_roots.x2) == (-2, -8)
 
     m = build_g(2)
-    assert m.poly.coeffs() == (12, 312, 1728)
+    assert m.poly == (12, 312, 1728)
     assert (m.closed_roots.x1, m.closed_roots.x2) == (-8, -18)
 
     m = build_g(3)
-    assert m.poly.coeffs() == (30, 2040, 27000)
+    assert m.poly == (30, 2040, 27000)
     assert (m.closed_roots.x1, m.closed_roots.x2) == (-18, -50)
 
 
@@ -72,7 +72,7 @@ def test_closed_roots_match_solver_to_100():
 def test_constant_term_is_lead_cubed():
     for i in range(1, 51):
         for member in (build_f(i), build_g(i)):
-            a, _, c = member.poly.coeffs()
+            a, _, c = member.poly
             assert c == a ** 3
 
 
@@ -82,8 +82,8 @@ def test_family_polys_match_window_products():
         alpha = t0 * t3
         beta = 2 * t1 * t2
         gamma = t1 * t1 + t2 * t2
-        assert build_f(i).poly.coeffs() == (alpha, 2 * alpha * gamma, alpha ** 3)
-        assert build_g(i).poly.coeffs() == (beta, 2 * beta * gamma, beta ** 3)
+        assert build_f(i).poly == (alpha, 2 * alpha * gamma, alpha ** 3)
+        assert build_g(i).poly == (beta, 2 * beta * gamma, beta ** 3)
 
 
 def test_integrals_are_integers_and_match_closed_form():
@@ -111,9 +111,9 @@ def test_generalized_windows_build_triples_and_members():
     for m in range(2, 13):
         for n in range(1, m):
             w = t0, t1, t2, t3 = (m - n, n, m, m + n)
-            assert triple_from_window(w).sides() == (t0 * t3, 2 * t1 * t2, t1 * t1 + t2 * t2)
-            for flavor in (FLAVOR_F, FLAVOR_G):
-                member = families._member(w, flavor)
+            assert triple_from_window(w) == (t0 * t3, 2 * t1 * t2, t1 * t1 + t2 * t2)
+            for flavor, member in zip((FLAVOR_F, FLAVOR_G), families.members(w)):
+                assert member.flavor == flavor
                 roots = member.closed_roots
                 assert evaluate(member.poly, roots.x1) == evaluate(member.poly, roots.x2) == 0
                 assert solve_quadratic(member.poly) == roots
@@ -136,15 +136,15 @@ def test_theorem3_spot_values():
 
 def test_family_345_members():
     t, q = family_345(0, FLAVOR_F)
-    assert t.sides() == (3, 4, 5)
-    assert q.coeffs() == (3, 30, 27)
+    assert t == (3, 4, 5)
+    assert q == (3, 30, 27)
 
     t, q = family_345(0, FLAVOR_G)
-    assert q.coeffs() == (4, 40, 64)
+    assert q == (4, 40, 64)
 
     t, q = family_345(1, FLAVOR_F)
-    assert t.sides() == (6, 8, 10)
-    assert q.coeffs() == (6, 120, 216)
+    assert t == (6, 8, 10)
+    assert q == (6, 120, 216)
     rep = analyze(q)
     assert (rep.roots.x1, rep.roots.x2) == (-2, -18)
     assert rep.integral_abs == 4096 == family_345_integral_abs(1, FLAVOR_F)

@@ -5,6 +5,7 @@ from fibquad.fibonacci import (
     fib_mod,
     fib_window,
     mod3_witness,
+    windows,
 )
 from fibquad.oracle import SweepConfig, run_claim
 
@@ -52,6 +53,20 @@ def test_fib_window_examples():
 def test_fib_window_validates_canonical_start():
     with pytest.raises(ValueError, match="index must be >= 0"):
         fib_window(-1)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 10), (1, 1), (5000, 5010), (3, 2)])
+def test_windows_step_from_one_seed(lo, hi):
+    assert list(windows(lo, hi)) == [fib_window(i) for i in range(lo, hi + 1)]
+
+
+def test_windows_rejects_negative_start():
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        next(windows(-1, 5))
+
+
+def test_windows_is_lazy():
+    assert next(windows(1, 10**12)) == (1, 1, 2, 3)
 
 
 def test_fib_mod_examples():

@@ -8,7 +8,6 @@ import pytest
 from fibquad import cli, families, fibonacci, oracle, quadratic
 from fibquad.fibonacci import fib_window
 from fibquad.oracle import (
-    CLAIM_ORDER,
     PolyFault,
     SweepConfig,
     VerificationReport,
@@ -42,8 +41,8 @@ def test_simpson_equals_integrate_randomized():
 
 
 def test_enumerate_triples_examples():
-    assert (3, 4, 5) in {t.sides() for t in enumerate_triples(5)}
-    assert (5, 12, 13) in {t.sides() for t in enumerate_triples(13)}
+    assert (3, 4, 5) in enumerate_triples(5)
+    assert (5, 12, 13) in enumerate_triples(13)
     assert enumerate_triples(4) == []
 
 
@@ -59,12 +58,12 @@ def test_window_triples_appear_in_scan():
     for i in range(1, 8):
         t = triple_from_window(fib_window(i))
         canon = (min(t.leg_a, t.leg_b), max(t.leg_a, t.leg_b), t.hyp)
-        assert canon in {x.sides() for x in enumerate_triples(t.hyp)}
+        assert canon in enumerate_triples(t.hyp)
 
 
 def test_run_all_claims_pass():
     reports = run_all_claims(FAST)
-    assert [r.claim_id for r in reports] == list(CLAIM_ORDER)
+    assert [r.claim_id for r in reports] == list(oracle.CLAIMS)
     assert all(r.passed for r in reports)
 
 
@@ -114,24 +113,25 @@ def test_theorem3_fault_reports_are_pinned(case):
 
 
 def test_theorem3_builds_each_member_once(monkeypatch):
-    calls = {"f": [], "g": []}
-    for flavor, build in (("f", families.build_f), ("g", families.build_g)):
-        def counted(i, build=build, seen=calls[flavor]):
-            seen.append(i)
-            return build(i)
-        monkeypatch.setattr(families, f"build_{flavor}", counted)
+    # both members of a window come from one families.members call
+    calls = []
+    members = families.members
+    monkeypatch.setattr(families, "members", lambda w: calls.append(w) or members(w))
     n = 37
     assert run_claim("theorem3", SweepConfig(theorem3_max=n, fault=PolyFault("g", 5, "b"))).counterexamples
-    assert calls == {"f": list(range(1, n + 1)), "g": list(range(1, n + 1))}
+    assert calls == [fib_window(i) for i in range(1, n + 1)]
 
 
 def test_theorem3_derives_each_window_once_per_member(monkeypatch):
-    calls = []
-    pair = fibonacci._fib_pair
-    monkeypatch.setattr(fibonacci, "_fib_pair", lambda *args: calls.append(args) or pair(*args))
+    # the sweep seeds its windows with one fast-doubling pass and builds one
+    # triple per window
+    pairs, triples = [], []
+    pair, triple = fibonacci._fib_pair, families.triple_from_window
+    monkeypatch.setattr(fibonacci, "_fib_pair", lambda *args: pairs.append(args) or pair(*args))
+    monkeypatch.setattr(families, "triple_from_window", lambda w: triples.append(w) or triple(w))
     n = 10
     assert run_claim("theorem3", SweepConfig(theorem3_max=n)).passed
-    assert 0 < len(calls) <= 2 * n
+    assert len(pairs) == 1 and len(triples) == n
 
 
 def _wrong_at(match, wrong):
@@ -169,6 +169,9 @@ ROUTINE_FAULTS = {
     "mod3/mod3_witness": (
         oracle, "mod3_witness", {"i": "9", "problem": "witness position disagrees with scan"},
         _wrong_at(lambda i: i == 9, lambda pos, i: (pos + 1) % 4)),
+    "mod3/windows": (
+        oracle, "windows", {"i": "9", "problem": "witness position disagrees with scan"},
+        lambda real: lambda lo, hi: (fib_window(10) if w == fib_window(9) else w for w in real(lo, hi))),
     "mod3/fib_mod": (
         oracle, "fib_mod", {"n": "7", "index": "28", "problem": "fib_mod disagrees with the linear sweep"},
         _wrong_at(lambda n, m: n == 28, lambda r, n, m: (r + 1) % m)),
@@ -223,10 +226,10 @@ def test_theorem3_fails_on_a_wrong_kernel(monkeypatch, case):
 
 
 def test_counterexample_past_the_digit_limit_is_reported(monkeypatch, capsys):
-    # the f member of window 3000 in place of window 1, with P1 off by a half:
+    # the members of window 3000 in place of window 1, with P1 off by a half:
     # the reported value has more digits than int/str conversion allows
-    f3000 = families.build_f(3000)
-    monkeypatch.setattr(families, "build_f", lambda i: f3000)
+    members3000 = families.members(fib_window(3000))
+    monkeypatch.setattr(families, "members", lambda w: members3000)
     monkeypatch.setattr(quadratic, "_breakdown6", _wrong_at(
         lambda *args: True, lambda parts, *args: (parts[0] + 3, parts[1] - 3, parts[2]))(quadratic._breakdown6))
     first = run_claim("theorem3", SweepConfig(theorem3_max=1)).counterexamples[0]

@@ -56,6 +56,18 @@ def test_claims_leave_number_rendering_to_run_claim():
     assert reads == []
 
 
+def test_loops_read_windows_from_the_iterator():
+    # windows come from fibonacci.windows, one fast-doubling seed per sweep,
+    # so no loop or comprehension may derive a window or a member per index
+    derivers = {"fib_window", "_fib_pair", "build_f", "build_g"}
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    calls = [f"{path.name}:{node.lineno} {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for loop in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(loop, loops)
+             for node in ast.walk(loop) if isinstance(node, ast.Call)
+             for name in [getattr(node.func, "id", getattr(node.func, "attr", None))] if name in derivers]
+    assert calls == []
+
+
 def test_only_the_verification_report_renders_itself():
     # the library returns raw values and numeric.wire renders every JSON
     # payload; VerificationReport.to_dict stays because verify and the

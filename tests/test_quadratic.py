@@ -52,10 +52,10 @@ def test_quadpoly_rejects_zero_lead():
 
 
 def test_build_quadratic_examples():
-    assert build_quadratic(3, 5, POSITIVE).coeffs() == (3, 30, 27)
-    assert build_quadratic(4, 5, POSITIVE).coeffs() == (4, 40, 64)
-    assert build_quadratic(3, 5, NEGATIVE).coeffs() == (-3, 30, -27)
-    assert build_quadratic(3, 5).coeffs() == (3, 30, 27)
+    assert build_quadratic(3, 5, POSITIVE) == (3, 30, 27)
+    assert build_quadratic(4, 5, POSITIVE) == (4, 40, 64)
+    assert build_quadratic(3, 5, NEGATIVE) == (-3, 30, -27)
+    assert build_quadratic(3, 5) == (3, 30, 27)
 
 
 def test_build_quadratic_mirror_roots():
@@ -241,7 +241,7 @@ def test_solver_and_simpson_kernels_equal_textbook_fraction_formulas():
     rng = random.Random(2026)
     kinds = set()
     for q in kernel_polys(rng):
-        a, b, c = q.coeffs()
+        a, b, c = q
         disc = b * b - 4 * a * c
         r = _discriminant_root(q)
         square = disc >= 0 and math.isqrt(disc) ** 2 == disc
@@ -293,7 +293,7 @@ def test_analyze_examples():
 def assembled_report(q):
     """The report analyze must give, assembled from the public functions,
     with the bounds ordered by comparing the roots."""
-    a, b, c = q.coeffs()
+    a, b, c = q
     roots = solve_quadratic(q)
     vx, vy = vertex(q)
     if roots.kind == IRRATIONAL:

@@ -10,7 +10,7 @@ from fibquad.triples import Triple, primitivity, scale, triple_from_window
 
 def test_triple_construction_validates_identity():
     t = Triple(3, 4, 5)
-    assert t.sides() == (3, 4, 5)
+    assert t == (3, 4, 5)
     with pytest.raises(ValueError):
         Triple(1, 1, 1)
     with pytest.raises(ValueError):
@@ -28,9 +28,9 @@ def test_hypotenuse_dominates_legs():
 
 
 def test_triple_from_window_examples():
-    assert triple_from_window(fib_window(1)).sides() == (3, 4, 5)
-    assert triple_from_window(fib_window(2)).sides() == (5, 12, 13)
-    assert triple_from_window(fib_window(3)).sides() == (16, 30, 34)
+    assert triple_from_window(fib_window(1)) == (3, 4, 5)
+    assert triple_from_window(fib_window(2)) == (5, 12, 13)
+    assert triple_from_window(fib_window(3)) == (16, 30, 34)
 
 
 def test_triple_from_window_rejects_degenerate():
@@ -53,9 +53,9 @@ def test_primitivity_examples():
 
 
 def test_scale_examples():
-    assert scale(Triple(3, 4, 5), 2).sides() == (6, 8, 10)
-    assert scale(Triple(3, 4, 5), 1).sides() == (3, 4, 5)
-    assert scale(Triple(5, 12, 13), 3).sides() == (15, 36, 39)
+    assert scale(Triple(3, 4, 5), 2) == (6, 8, 10)
+    assert scale(Triple(3, 4, 5), 1) == (3, 4, 5)
+    assert scale(Triple(5, 12, 13), 3) == (15, 36, 39)
 
 
 def test_scale_rejects_bad_factor():
@@ -86,7 +86,7 @@ def test_scaling_preserves_side_ratios():
 
 
 def test_to_dict_uses_decimal_strings(capsys):
-    assert triple_from_window(fib_window(3)).sides() == (16, 30, 34)
+    assert triple_from_window(fib_window(3)) == (16, 30, 34)
     assert main(["triples", "--from", "3", "--to", "3", "--format", "json"]) == 0
     [d] = json.loads(capsys.readouterr().out)
     assert d == {"i": "3", "leg_a": "16", "leg_b": "30", "hyp": "34", "gcd": "2", "primitive": False}
