@@ -42,12 +42,21 @@ subcommand. A verifier that cannot fail is not evidence, so each claim
 compares a shipped routine with a different computation, and the
 theorem3 sweep also accepts a deliberate coefficient mutation and must
 report it.
+
+The roots and theorem3 sweeps check every window on its own, so a large
+one runs on the CPUs of the process's affinity mask: a sweep of N windows
+takes min(CPUs, N // WINDOWS_PER_PROCESS) processes, the caller and
+forked children, each checking the windows i with i % size == rank, and
+returns the records in the order one process finds them in. It stays in
+one process where os.fork is missing or another thread is running;
+`taskset -c 0 fibquad verify ...` runs it in one process too.
 """
 
 import math
+import os
 import time
 from fractions import Fraction
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import families, quadratic
 from .fibonacci import fib_mod, mod3_witness, windows
@@ -106,9 +115,11 @@ class VerificationReport(Checked, _ReportFields):
 # quadratic in its bound and stops well below the lemma sweep's mod3_max.
 WITNESS_MAX = 500
 
-# What a claim found: its scope, as the report's range, and its raw
-# counterexample records, which run_claim alone puts in wire form.
-Found = Tuple[str, List[Dict[str, Any]]]
+# Raw counterexample records, which run_claim alone puts in wire form.
+Records = List[Dict[str, Any]]
+
+# What a claim found: its scope, as the report's range, and its records.
+Found = Tuple[str, Records]
 
 
 def _simpson6(q: QuadPoly, low: int, high: int, d: int) -> int:
@@ -227,6 +238,90 @@ class SweepConfig(Checked, _SweepFields):
         return cls(**{name: bound for name in cls._fields if name != "fault"})
 
 
+# Windows each process of a split sweep takes at the least, so a sweep
+# splits from 1000 windows on. On a 2-vCPU host, two processes beat one
+# from 300 windows on when one interpreter runs sweep after sweep, while a
+# single sweep in a fresh interpreter broke even up to about 1250 windows
+# and ran 40% faster at 1500: the fork and a second CPU coming up to
+# speed cost about as much as half of a short sweep.
+WINDOWS_PER_PROCESS = 500
+
+
+def _processes(n: int) -> int:
+    """How many processes a sweep of n windows runs in: one per CPU of the
+    affinity mask and per WINDOWS_PER_PROCESS windows, and one where fork
+    is missing or another thread runs, since a forked child gets a copy of
+    no thread but the caller's."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    size = min(cpus, n // WINDOWS_PER_PROCESS)
+    if size < 2 or not hasattr(os, "fork"):
+        return 1
+    import threading
+    return size if threading.active_count() == 1 else 1
+
+
+def _in_shares(share: Callable[[SweepConfig, int, int], Records], config: SweepConfig, n: int) -> Records:
+    """share(config, rank, size) for every rank of a sweep of n windows,
+    the records merged into the order one process finds them in.
+
+    Ranks 1..size-1 run in forked children, rank 0 in the caller. Each
+    child pickles its records, or the exception it raised, into a pipe;
+    the caller raises a child's exception again. Every child is reaped
+    before this returns or raises, and killed first when the caller's
+    own share or a child failed.
+    """
+    size = _processes(n)
+    if size == 1:
+        return share(config, 0, 1)
+    import pickle
+    import signal
+    children, done = [], False
+    try:
+        for rank in range(1, size):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                try:
+                    try:
+                        outcome = share(config, rank, size)
+                    except BaseException as exc:
+                        outcome = exc
+                    try:
+                        data = pickle.dumps(outcome)
+                    except Exception:  # an exception whose type or arguments do not pickle
+                        data = pickle.dumps(RuntimeError(f"{type(outcome).__name__}: {outcome}"))
+                    with open(write, "wb") as pipe:
+                        pipe.write(data)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        shares = [share(config, 0, size)]
+        for rank, (pid, pipe) in enumerate(children, 1):
+            data = pipe.read()
+            if not data:
+                raise RuntimeError(f"sweep process {rank} of {size} ended without a result")
+            outcome = pickle.loads(data)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            shares.append(outcome)
+        done = True
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    # Every record of one window comes from one share, in its order, so a
+    # stable sort by window restores the order of a single pass.
+    return sorted((record for records in shares for record in records), key=lambda record: record["i"])
+
+
 def claim_window_triples(config: SweepConfig) -> Found:
     """Window triples: the product form recomputed inline satisfies the
     Pythagorean identity and equals triple_from_window, whose side gcd
@@ -266,12 +361,12 @@ def claim_scaling(config: SweepConfig) -> Found:
     return f"window triples 1..6, k in 1..{config.scale_max}", counterexamples
 
 
-def claim_roots(config: SweepConfig) -> Found:
-    """Root formula: the solver's roots on the built quadratic must equal
-    roots_via_triple's -hyp +/- other and be integers, for both choices
-    of seed leg."""
+def _roots_share(config: SweepConfig, rank: int, size: int) -> Records:
+    """The roots checks on the windows i of 1..roots_max with i % size == rank."""
     counterexamples = []
     for i, w in enumerate(windows(1, config.roots_max), 1):
+        if i % size != rank:
+            continue
         t = triple_from_window(w)
         for leg, other in ((t.leg_a, t.leg_b), (t.leg_b, t.leg_a)):
             rp = solve_quadratic(build_quadratic(leg, t.hyp, POSITIVE))
@@ -282,7 +377,14 @@ def claim_roots(config: SweepConfig) -> Found:
             else:
                 continue
             counterexamples.append({"i": i, "leg": leg, "problem": problem})
-    return f"windows 1..{config.roots_max}, both legs", counterexamples
+    return counterexamples
+
+
+def claim_roots(config: SweepConfig) -> Found:
+    """Root formula: the solver's roots on the built quadratic must equal
+    roots_via_triple's -hyp +/- other and be integers, for both choices
+    of seed leg."""
+    return f"windows 1..{config.roots_max}, both legs", _in_shares(_roots_share, config, config.roots_max)
 
 
 def claim_family345(config: SweepConfig) -> Found:
@@ -344,27 +446,17 @@ def _roots_record(rp: RootPair) -> Dict[str, Any]:
     return {"kind": rp.kind, "x1": rp.x1, "x2": rp.x2}
 
 
-def claim_theorem3(config: SweepConfig) -> Found:
-    """Integer-integral sweep with the independent oracles in the same
-    pass: both members of each window 1..theorem3_max are built once,
-    from its one triple, flavor f then g, the configured fault, if any, is applied, and every check
-    reads that one polynomial.
-
-    The closed roots x1 = -hyp + other > x2 = -hyp - other are integers,
-    so each check runs in plain ints on the library's own kernels, scaled
-    by 6 where a value may be a third or a half: the discriminant root r
-    against 2a*x = -b +/- r, the integral 6*I from _antiderivative6, its
-    parts from _breakdown6 summing to it and each divisible by 6,
-    Simpson's 6*S from its own kernel against 6*I, and substitution
-    (a*x + b)*x + c == 0 of both closed roots. A Fraction is built only
-    to report a counterexample.
-    """
+def _theorem3_share(config: SweepConfig, rank: int, size: int) -> Records:
+    """The theorem3 checks on the windows i of 1..theorem3_max with
+    i % size == rank."""
     fault = config.fault
     # Read at call time, so that a kernel swapped on its module is the one checked.
     disc_root, antiderivative6, breakdown6 = (
         quadratic._discriminant_root, quadratic._antiderivative6, quadratic._breakdown6)
     counterexamples = []
     for i, w in enumerate(windows(1, config.theorem3_max), 1):
+        if i % size != rank:
+            continue
         for member in families.members(w):
             flavor, closed = member.flavor, member.closed_roots
             poly = member.poly if fault is None else fault.apply(i, flavor, member.poly)
@@ -389,7 +481,26 @@ def claim_theorem3(config: SweepConfig) -> Found:
             if (a * x1 + b) * x1 + c or (a * x2 + b) * x2 + c:
                 problems.append({"problem": "closed-form roots fail direct evaluation"})
             counterexamples += ({"i": i, "flavor": flavor, **found} for found in problems)
-    return f"windows 1..{config.theorem3_max}, flavors f and g", counterexamples
+    return counterexamples
+
+
+def claim_theorem3(config: SweepConfig) -> Found:
+    """Integer-integral sweep with the independent oracles in the same
+    pass: both members of each window 1..theorem3_max are built once,
+    from its one triple, flavor f then g, the configured fault, if any, is applied, and every check
+    reads that one polynomial.
+
+    The closed roots x1 = -hyp + other > x2 = -hyp - other are integers,
+    so each check runs in plain ints on the library's own kernels, scaled
+    by 6 where a value may be a third or a half: the discriminant root r
+    against 2a*x = -b +/- r, the integral 6*I from _antiderivative6, its
+    parts from _breakdown6 summing to it and each divisible by 6,
+    Simpson's 6*S from its own kernel against 6*I, and substitution
+    (a*x + b)*x + c == 0 of both closed roots. A Fraction is built only
+    to report a counterexample.
+    """
+    return (f"windows 1..{config.theorem3_max}, flavors f and g",
+            _in_shares(_theorem3_share, config, config.theorem3_max))
 
 
 CLAIMS = {

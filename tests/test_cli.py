@@ -458,12 +458,13 @@ def test_import_builds_no_parser():
 
 def test_import_loads_no_dataclasses_or_inspect():
     """Importing fibquad.cli leaves dataclasses and inspect unloaded, which
-    would take more than half of the import, and json and csv, which only
-    some commands need and load when they print. -S skips site, so no .pth
-    file can load one of them first."""
+    would take more than half of the import, json and csv, which only
+    some commands need and load when they print, and pickle and threading,
+    which only a sweep split across processes loads. -S skips site, so no
+    .pth file can load one of them first."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     check = ("import sys; sys.path.insert(0, sys.argv[1]); import fibquad.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'json', 'csv'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'json', 'csv', 'pickle', 'threading'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", check, src],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -278,3 +281,135 @@ def test_report_status_follows_counterexamples():
     clean = VerificationReport("mod3", "forced", [])
     assert clean.status == "pass" and clean.passed is True
     assert list(clean.to_dict()) == ["claim", "range", "status", "counterexamples", "elapsed"]
+
+
+# A sweep splits across processes; with at least WINDOWS_PER_PROCESS = 4
+# windows each and two CPUs in the mask, a 30-window sweep runs in two.
+SPLIT_MAX = 30
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Two CPUs and a low split threshold; yields the pids forked, and checks
+    after the test that every child was reaped."""
+    monkeypatch.setattr(oracle, "WINDOWS_PER_PROCESS", 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(pid := fork()) or pid)
+    yield forked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _serial_and_split(monkeypatch, forked, claim, config):
+    """The report of claim in one process and split in two, elapsed zeroed."""
+    with monkeypatch.context() as serial:
+        serial.setattr(oracle, "WINDOWS_PER_PROCESS", 10**9)
+        one = {**run_claim(claim, config).to_dict(), "elapsed": 0}
+    assert forked == []
+    two = {**run_claim(claim, config).to_dict(), "elapsed": 0}
+    assert len(forked) == 1
+    return one, two
+
+
+@pytest.mark.parametrize("claim, config", [
+    ("theorem3", SweepConfig(theorem3_max=SPLIT_MAX)),
+    ("roots", SweepConfig(roots_max=SPLIT_MAX)),
+    ("theorem3", SweepConfig(theorem3_max=SPLIT_MAX, fault=PolyFault("f", 7, "b"))),
+    ("theorem3", SweepConfig(theorem3_max=SPLIT_MAX, fault=PolyFault("g", 12, "c", -2))),
+], ids=["theorem3-clean", "roots-clean", "theorem3-fault-odd", "theorem3-fault-even"])
+def test_split_sweep_reports_as_one_process(monkeypatch, split, claim, config):
+    one, two = _serial_and_split(monkeypatch, split, claim, config)
+    assert two == one
+    assert (one["status"], len(one["counterexamples"])) == (("pass", 0) if config.fault is None else ("fail", 2))
+
+
+def test_split_sweep_keeps_the_order_of_many_counterexamples(monkeypatch, split):
+    # P1 off by a half wherever the leading coefficient is odd: members of
+    # odd and even windows, in both ranks' shares
+    monkeypatch.setattr(quadratic, "_breakdown6", _wrong_at(
+        lambda q, *bounds: q.a % 2, lambda parts, *args: (parts[0] + 3, parts[1] - 3, parts[2]))(
+        quadratic._breakdown6))
+    one, two = _serial_and_split(monkeypatch, split, "theorem3", SweepConfig(theorem3_max=SPLIT_MAX))
+    assert two == one
+    windows_hit = {int(ce["i"]) % 2 for ce in one["counterexamples"]}
+    assert windows_hit == {0, 1} and len(one["counterexamples"]) > 10
+
+
+def _throw(exc):
+    raise exc
+
+
+# Members f of windows 3, 4 and 5; with two processes, odd windows are
+# rank 1's share, run in the child, and even ones rank 0's, run in the caller.
+F3, F4, F5 = (families.build_f(i).poly for i in (3, 4, 5))
+
+
+def _antiderivative6_wrong_at(monkeypatch, match, wrong):
+    monkeypatch.setattr(quadratic, "_antiderivative6", _wrong_at(match, wrong)(quadratic._antiderivative6))
+
+
+def test_exception_in_a_child_is_raised_in_the_caller(monkeypatch, split, capsys):
+    _antiderivative6_wrong_at(monkeypatch, lambda q, n, d: q == F5,
+                              lambda v, *args: _throw(ZeroDivisionError("kernel broke")))
+    with pytest.raises(ZeroDivisionError, match="^kernel broke$"):
+        run_claim("theorem3", SweepConfig(theorem3_max=SPLIT_MAX))
+    assert cli.main(["verify", "theorem3", "--max", str(SPLIT_MAX)]) == 3
+    assert capsys.readouterr().err == "internal error: ZeroDivisionError: kernel broke\n"
+    assert len(split) == 2
+
+
+def test_exception_in_the_caller_kills_and_reaps_the_child(monkeypatch, split):
+    # rank 0 raises while rank 1, in the child, sleeps for 30 s per call; the
+    # caller kills the child before it reaps it, so it need not wait that long
+    caller = os.getpid()
+    _antiderivative6_wrong_at(monkeypatch, lambda q, n, d: q in (F3, F4), lambda v, q, *args: (
+        _throw(KeyError("rank 0")) if q == F4 else (time.sleep(30) or v) if os.getpid() != caller else v))
+    start = time.monotonic()
+    with pytest.raises(KeyError, match="rank 0"):
+        run_claim("theorem3", SweepConfig(theorem3_max=SPLIT_MAX))
+    assert time.monotonic() - start < 15
+    assert len(split) == 1
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("no pickling")
+
+
+def test_child_exception_that_does_not_pickle_keeps_its_name_and_message(monkeypatch, split):
+    _antiderivative6_wrong_at(monkeypatch, lambda q, n, d: q == F5, lambda v, *args: _throw(_Unpicklable("odd share")))
+    with pytest.raises(RuntimeError, match="^_Unpicklable: odd share$"):
+        run_claim("theorem3", SweepConfig(theorem3_max=SPLIT_MAX))
+
+
+def test_child_that_ends_without_a_result_fails_the_sweep(monkeypatch, split):
+    caller = os.getpid()
+    _antiderivative6_wrong_at(monkeypatch, lambda q, n, d: q == F5 and os.getpid() != caller,
+                              lambda v, *args: os._exit(0))
+    with pytest.raises(RuntimeError, match="sweep process 1 of 2 ended without a result"):
+        run_claim("theorem3", SweepConfig(theorem3_max=SPLIT_MAX))
+
+
+@pytest.mark.parametrize("why", ["one CPU", "no fork", "second thread", "too few windows"])
+def test_sweep_stays_in_one_process(monkeypatch, split, why):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    bound = SPLIT_MAX
+    if why == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif why == "second thread":
+        thread.start()
+    elif why == "too few windows":
+        bound = 2 * oracle.WINDOWS_PER_PROCESS - 1
+    monkeypatch.setattr(os, "fork", lambda: _throw(AssertionError("forked")))
+    if why == "no fork":
+        monkeypatch.delattr(os, "fork")
+    try:
+        assert run_claim("theorem3", SweepConfig(theorem3_max=bound)).passed
+        assert run_claim("roots", SweepConfig(roots_max=bound)).passed
+    finally:
+        stop.set()
+        if thread.ident is not None:
+            thread.join(timeout=60)
+    assert not thread.is_alive()

@@ -44,15 +44,16 @@ def test_modules_use_every_name_they_import():
 
 def test_claims_leave_number_rendering_to_run_claim():
     # a claim returns raw values and run_claim alone puts them in wire
-    # form, so no claim_* function in oracle.py may read number_str or
-    # any to_dict, which would hand it text already rendered
+    # form, so no claim_* function in oracle.py, nor the *_share loop a
+    # claim splits across processes, may read number_str or any to_dict,
+    # which would hand it text already rendered
     tree = ast.parse(PACKAGE.joinpath("oracle.py").read_text(encoding="utf-8"))
-    claims = [node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name.startswith("claim_")]
+    claims = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and (node.name.startswith("claim_") or node.name.endswith("_share"))]
     reads = [f"{claim.name}:{node.lineno}" for claim in claims for node in ast.walk(claim)
              if (isinstance(node, ast.Name) and node.id == "number_str")
              or (isinstance(node, ast.Attribute) and node.attr == "to_dict")]
-    assert len(claims) >= 6
+    assert len(claims) >= 8
     assert reads == []
 
 
@@ -107,3 +108,33 @@ def test_every_cache_is_bounded():
                     bad.append(f"{path.name}:{node.lineno} {node.name} maxsize={maxsize!r}")
     assert {"cli.py:build_parser", "svgplot.py:_frame"} <= set(cached)
     assert bad == []
+
+
+def _is_call(node, module, name):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == name
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == module)
+
+
+def test_a_forked_child_never_returns_into_its_caller():
+    # os.fork is called in one function only, and the branch the child
+    # takes is a single try whose finally ends in os._exit, so no child can
+    # return into the code that called the sweep (a test run, the bench)
+    forking = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                forks = [node for node in ast.walk(func) if _is_call(node, "os", "fork")]
+                if forks:
+                    forking.append((f"{path.name}:{func.name}", func, forks))
+    assert [(name, len(forks)) for name, _, forks in forking] == [("oracle.py:_in_shares", 1)]
+    [(_, func, [fork])] = forking
+    [pid] = [node.targets[0].id for node in ast.walk(func)
+             if isinstance(node, ast.Assign) and node.value is fork]
+    child = [node for node in ast.walk(func) if isinstance(node, ast.If)
+             and isinstance(test := node.test, ast.Compare) and isinstance(test.left, ast.Name)
+             and test.left.id == pid and isinstance(test.ops[0], ast.Eq)
+             and isinstance(test.comparators[0], ast.Constant) and test.comparators[0].value == 0]
+    assert len(child) == 1
+    [body] = child[0].body
+    assert isinstance(body, ast.Try) and body.finalbody
+    assert isinstance(body.finalbody[-1], ast.Expr) and _is_call(body.finalbody[-1].value, "os", "_exit")
