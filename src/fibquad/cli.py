@@ -4,9 +4,14 @@ analysis, family tables, verification sweeps, and SVG figures.
 Exit codes: 0 success (all claims pass), 1 verification counterexample,
 2 usage, input or output error (a closed pipe among them), 3 internal error
 (an unexpected exception). Every subcommand takes --format json|csv|table
-and prints through one emitter. Numbers of any length are emitted and
-accepted as exact decimal strings, rationals as "num/den". json and csv
-are imported only when a command prints JSON or CSV, so importing the
+and prints through one emitter, _emit, the only code that writes to
+stdout. csv and json print each row as it is made, so a range command
+(triples, family) holds one row, or one batch of JSON rows, at a time, and
+a closed pipe stops the work as well as the output. Rows printed before
+a closed pipe or a later error stay printed; every check of the
+arguments runs before the first row. Numbers of any length are emitted
+and accepted as exact decimal strings, rationals as "num/den". json and
+csv are imported only when a command prints JSON or CSV, so importing the
 module loads neither.
 
 main(argv) may be called any number of times in one process: it returns the
@@ -18,7 +23,8 @@ import argparse
 import functools
 import os
 import sys
-from typing import Callable, List, Optional
+from itertools import islice
+from typing import Callable, Iterable, List, Optional
 
 from . import families, oracle
 from .fibonacci import fib, fib_mod, windows
@@ -38,6 +44,12 @@ TRIPLE_COLUMNS = ["leg_a", "leg_b", "hyp", "gcd", "primitive"]
 
 ANALYSIS_COLUMNS = ["a", "b", "c", "kind", "x1", "x2", "vertex_x", "vertex_y", "discriminant",
                     "integral_signed", "integral_abs", "p1", "p2", "p3"]
+
+# Items per json.dumps call when a JSON array prints. One call per item
+# would rebuild the encoder for every item, which costs more than the
+# encoding of a small row; a batch costs what one call on the whole list
+# does and holds only its own items.
+JSON_BATCH = 256
 
 
 def _integer(text: str) -> int:
@@ -91,48 +103,61 @@ def _analysis_json(row: list) -> dict:
             "integral_abs": absolute, "breakdown": None if p1 is None else {"p1": p1, "p2": p2, "p3": p3}}
 
 
-def _emit(fmt: str, header: List[str], rows: Callable[[], List[list]], payload: Callable[[], object],
+def _emit(fmt: str, header: List[str], rows: Iterable[list], payload: Callable[[], object],
           table: Optional[Callable[[], str]] = None) -> None:
     """Print one command's result in fmt, building only what fmt prints.
 
     json prints payload(), which a command builds from its raw rows
-    through numeric.wire, the one renderer of every JSON payload, with
-    json.dumps(indent=2); csv prints header and rows() through the csv
-    module; table prints table() for a command with its own layout, else
-    header and rows() as left-aligned columns. json and csv are imported
-    only in their branch.
+    through numeric.wire, the one renderer of every JSON payload: a dict
+    prints whole with json.dumps(indent=2); any other iterable is an array
+    whose items print in batches of JSON_BATCH, each a json.dumps(indent=2)
+    with its brackets cut off, joined by commas, which gives the bytes of
+    json.dumps(list(items), indent=2). csv prints header, then each of rows
+    as it comes, through one csv.writer. table prints table() for a command
+    with its own layout, else header and rows as left-aligned columns,
+    which holds every row, since the widths come first. rows and the items
+    of payload() are iterated once and may share one iterator. json and
+    csv are imported only in their branch.
     """
     if fmt == "json":
         import json
-        print(json.dumps(payload(), indent=2))
-    elif fmt == "table" and table is not None:
+        data = payload()
+        if isinstance(data, dict):
+            print(json.dumps(data, indent=2))
+            return
+        items, write, sep = iter(data), sys.stdout.write, "["
+        while batch := list(islice(items, JSON_BATCH)):
+            write(sep + json.dumps(batch, indent=2)[1:-2])
+            sep = ","
+        write("[]\n" if sep == "[" else "\n]\n")
+    elif fmt == "csv":
+        import csv
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([_cell(v) for v in row] for row in rows)
+    elif table is not None:
         print(table())
     else:
-        lines = [header] + [[_cell(v) for v in row] for row in rows()]
-        if fmt == "csv":
-            import csv
-            csv.writer(sys.stdout, lineterminator="\n").writerows(lines)
-        else:
-            widths = [max(map(len, column)) for column in zip(*lines)]
-            for line in lines:
-                print("  ".join(v.ljust(w) for v, w in zip(line, widths)))
+        lines = [header] + [[_cell(v) for v in row] for row in rows]
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        for line in lines:
+            print("  ".join(v.ljust(w) for v, w in zip(line, widths)))
 
 
 def cmd_fib(args) -> int:
     value = fib(args.n) if args.mod is None else fib_mod(args.n, args.mod)
     header, row = ["n", "mod", "value"], [args.n, args.mod, value]
-    _emit(args.format, header, lambda: [row], lambda: dict(zip(header, wire(row))), lambda: number_str(value))
+    _emit(args.format, header, [row], lambda: dict(zip(header, wire(row))), lambda: number_str(value))
     return EXIT_OK
 
 
 def cmd_triples(args) -> int:
     if args.i_from > args.i_to:
         raise ValueError(f"--from {number_str(args.i_from)} exceeds --to {number_str(args.i_to)}")
-    header, rows = ["i", *TRIPLE_COLUMNS], []
-    for i, w in enumerate(windows(args.i_from, args.i_to), args.i_from):
-        t = triple_from_window(w)
-        rows.append([i, *_triple_row(scale(t, args.scale) if args.scale > 1 else t)])
-    _emit(args.format, header, lambda: rows, lambda: [dict(zip(header, wire(row))) for row in rows])
+    header = ["i", *TRIPLE_COLUMNS]
+    rows = ([i, *_triple_row(scale(t, args.scale) if args.scale > 1 else t)]
+            for i, t in enumerate(map(triple_from_window, windows(args.i_from, args.i_to)), args.i_from))
+    _emit(args.format, header, rows, lambda: (dict(zip(header, wire(row))) for row in rows))
     return EXIT_OK
 
 
@@ -143,7 +168,7 @@ def cmd_quad(args) -> int:
     else:
         q = QuadPoly(args.a, args.b, args.c)
     row = _analysis_row(analyze(q))
-    _emit(args.format, ANALYSIS_COLUMNS, lambda: [row], lambda: _analysis_json(row),
+    _emit(args.format, ANALYSIS_COLUMNS, [row], lambda: _analysis_json(row),
           lambda: "\n".join(f"{key:>16}: {'-' if v is None else _cell(v)}"
                             for key, v in zip(ANALYSIS_COLUMNS, row)))
     return EXIT_OK
@@ -151,22 +176,24 @@ def cmd_quad(args) -> int:
 
 def cmd_family(args) -> int:
     flavors = [families.FLAVOR_F, families.FLAVOR_G] if args.flavor == "both" else [args.flavor]
-    members = []
-    for n in range(0, args.n_max + 1):
-        for flavor in flavors:
-            t, q = families.family_345(n, flavor)
-            r = analyze(q)
-            closed = families.family_345_integral_abs(n, flavor)
-            members.append((n, flavor, t, r, closed, r.integral_abs == closed))
+
+    def members():
+        for n in range(0, args.n_max + 1):
+            for flavor in flavors:
+                t, q = families.family_345(n, flavor)
+                r = analyze(q)
+                closed = families.family_345_integral_abs(n, flavor)
+                yield n, flavor, t, r, closed, r.integral_abs == closed
+
+    made = members()
     _emit(args.format,
           ["n", "a", "b", "c", "x1", "x2", "vx", "vy", "integral_abs", "flavor", "closed_form", "match"],
-          lambda: [[n, *r.poly, r.roots.x1, r.roots.x2, r.vertex_x, r.vertex_y,
-                    r.integral_abs, flavor, closed, match]
-                   for n, flavor, t, r, closed, match in members],
-          lambda: [{"n": wire(n), "flavor": flavor, "triple": dict(zip(TRIPLE_COLUMNS, wire(_triple_row(t)))),
+          ([n, *r.poly, r.roots.x1, r.roots.x2, r.vertex_x, r.vertex_y, r.integral_abs, flavor, closed, match]
+           for n, flavor, t, r, closed, match in made),
+          lambda: ({"n": wire(n), "flavor": flavor, "triple": dict(zip(TRIPLE_COLUMNS, wire(_triple_row(t)))),
                     "analysis": _analysis_json(_analysis_row(r)), "closed_form": wire(closed),
                     "match": match}
-                   for n, flavor, t, r, closed, match in members])
+                   for n, flavor, t, r, closed, match in made))
     return EXIT_OK
 
 
@@ -184,9 +211,8 @@ def cmd_verify(args) -> int:
         return "\n".join(lines)
 
     _emit(args.format, ["claim", "range", "status", "counterexamples", "elapsed"],
-          lambda: [[r.claim_id, r.range, r.status, len(r.counterexamples), f"{r.elapsed:.3f}"]
-                   for r in reports],
-          lambda: [r.to_dict() for r in reports], table)
+          ([r.claim_id, r.range, r.status, len(r.counterexamples), f"{r.elapsed:.3f}"] for r in reports),
+          lambda: (r.to_dict() for r in reports), table)
     return EXIT_COUNTEREXAMPLE if failed else EXIT_OK
 
 
@@ -202,7 +228,7 @@ def cmd_plot(args) -> int:
         out, samples, a, b, c = wire(row)
         return {"out": out, "samples": samples, "poly": {"a": a, "b": b, "c": c}}
 
-    _emit(args.format, ["out", "samples", "a", "b", "c"], lambda: [row], payload, lambda: f"wrote {args.out}")
+    _emit(args.format, ["out", "samples", "a", "b", "c"], [row], payload, lambda: f"wrote {args.out}")
     return EXIT_OK
 
 

@@ -7,14 +7,18 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from fibquad import cli, svgplot
+from fibquad import cli, families, svgplot
 from fibquad.cli import FORMATS, main
-from fibquad.numeric import number_str, parse_int
+from fibquad.numeric import number_str, parse_int, wire
+from fibquad.quadratic import analyze
 
 
 def run_cli(capsys, *argv):
@@ -104,8 +108,9 @@ def test_triples_from_zero_is_usage_error(capsys):
 
 
 def test_triples_reversed_range_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "triples", "--from", "5", "--to", "2")
-    assert code == 2
+    # rows print as they are made, so the range is checked before the first
+    code, out, err = run_cli(capsys, "triples", "--from", "5", "--to", "2")
+    assert code == 2 and out == "" and "error: --from 5 exceeds --to 2" in err
 
 
 def test_triples_csv_has_header(capsys):
@@ -184,6 +189,12 @@ def test_family_third_row_integral(capsys):
     rows = json.loads(out)
     assert rows[2]["analysis"]["integral_abs"] == "20736"
     assert all(r["match"] for r in rows)
+
+
+@pytest.mark.parametrize("argv", [("--n-max", "-1"), ("--n-max", "1", "--flavor", "h")])
+def test_family_usage_error_prints_nothing(capsys, argv):
+    code, out, err = run_cli(capsys, "family", *argv)
+    assert code == 2 and out == "" and "error" in err
 
 
 def test_family_csv_header_prefix(capsys):
@@ -667,3 +678,134 @@ def test_range_argument_error_names_huge_operands(capsys, argv):
     value = -(10**5000)
     code, out, err = run_cli(capsys, *argv, number_str(value))
     assert code == 2 and out == "" and f"got {number_str(value)}" in err
+
+
+# --- rows stream to stdout ----------------------------------------------------
+
+B = cli.JSON_BATCH
+EDGE_COUNTS = [1, B - 1, B, B + 1, 2 * B + 1]  # a JSON array prints in batches of B rows
+
+
+def triples_reference(count):
+    """triples --from 1 --to count as whole lists: JSON records and CSV lines."""
+    header = ["i", "leg_a", "leg_b", "hyp", "gcd", "primitive"]
+    rows = []
+    for i in range(1, count + 1):
+        sides = window_triple(i)
+        g = gcd(*sides)
+        rows.append([str(i), *map(str, sides), str(g), g == 1])
+    return [dict(zip(header, row)) for row in rows], [header] + [[str(v) for v in row] for row in rows]
+
+
+def family_reference(n_max, flavors):
+    """family --n-max n_max as whole lists, built from the library and the
+    per-row renderers: JSON records and CSV lines."""
+    header = ["n", "a", "b", "c", "x1", "x2", "vx", "vy", "integral_abs", "flavor", "closed_form", "match"]
+    records, lines = [], [header]
+    for n in range(n_max + 1):
+        for flavor in flavors:
+            t, q = families.family_345(n, flavor)
+            r = analyze(q)
+            closed = families.family_345_integral_abs(n, flavor)
+            match = r.integral_abs == closed
+            triple = dict(zip(cli.TRIPLE_COLUMNS, wire(cli._triple_row(t))))
+            records.append({"n": str(n), "flavor": flavor, "triple": triple,
+                            "analysis": cli._analysis_json(cli._analysis_row(r)), "closed_form": str(closed),
+                            "match": match})
+            lines.append([cli._cell(v) for v in (n, *r.poly, r.roots.x1, r.roots.x2, r.vertex_x, r.vertex_y,
+                                                  r.integral_abs, flavor, closed, match)])
+    return records, lines
+
+
+def whole_csv(lines):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(lines)
+    return buf.getvalue()
+
+
+def family_args(count):
+    """family arguments that make count rows: both flavors when count is even."""
+    return (str(count // 2 - 1), "both") if count % 2 == 0 else (str(count - 1), "f")
+
+
+@pytest.mark.parametrize("count", EDGE_COUNTS)
+def test_triples_stream_prints_the_bytes_of_whole_lists(capsys, count):
+    records, lines = triples_reference(count)
+    for fmt, want in (("json", json.dumps(records, indent=2) + "\n"), ("csv", whole_csv(lines))):
+        code, out, _ = run_cli(capsys, "triples", "--from", "1", "--to", str(count), "--format", fmt)
+        assert code == 0 and out == want, fmt
+
+
+@pytest.mark.parametrize("count", EDGE_COUNTS)
+def test_family_stream_prints_the_bytes_of_whole_lists(capsys, count):
+    n_max, flavor = family_args(count)
+    records, lines = family_reference(int(n_max), ["f", "g"] if flavor == "both" else [flavor])
+    assert len(records) == count
+    for fmt, want in (("json", json.dumps(records, indent=2) + "\n"), ("csv", whole_csv(lines))):
+        code, out, _ = run_cli(capsys, "family", "--n-max", n_max, "--flavor", flavor, "--format", fmt)
+        assert code == 0 and out == want, fmt
+
+
+def test_empty_json_array_prints_brackets(capsys):
+    cli._emit("json", ["n"], iter([]), lambda: iter([]))
+    assert capsys.readouterr().out == json.dumps([], indent=2) + "\n" == "[]\n"
+
+
+# The child reads its peak RSS as VmHWM, the high-water mark of its own
+# address space. ru_maxrss would not do: exec keeps the peak of the process
+# that started the child, and under pytest that alone read 38 MB.
+PEAK_RSS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from fibquad.cli import main
+code = main(sys.argv[2:])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    [kb] = [line.split()[1] for line in status if line.startswith("VmHWM:")]
+print(code, int(kb) / 1024, file=sys.stderr)
+"""
+
+
+def peak_rss_mb(*argv):
+    """Exit code and peak RSS in MB of main(argv) in a fresh interpreter
+    whose stdout is devnull."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-I", "-c", PEAK_RSS, src, *argv],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120)
+    code, mb = proc.stderr.split()
+    return int(code), float(mb)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from procfs")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_range_output_holds_bounded_memory(fmt):
+    """4000 windows print in about 30 MB of CSV, and building them all
+    before printing took 17 MB (csv) and 41 MB (json) more than one row."""
+    code_one, one = peak_rss_mb("triples", "--from", "1", "--to", "1", "--format", fmt)
+    code_many, many = peak_rss_mb("triples", "--from", "1", "--to", "4000", "--format", fmt)
+    assert code_one == code_many == 0
+    assert many - one <= 8, (one, many)
+
+
+def test_closed_pipe_ends_a_long_range_early():
+    """A reader that closes the pipe after 100 bytes stops the work: the
+    command exits 2 well before it could have built every row. Building
+    16000 rows before printing any took 19 s, so the watchdog kills a
+    command that does not stop, and its memory never runs away."""
+    bound = 10
+    start = time.monotonic()
+    with subprocess.Popen([sys.executable, "-m", "fibquad", "triples", "--from", "1", "--to", "16000",
+                           "--format", "csv"], stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        watchdog = threading.Timer(bound, proc.kill)
+        watchdog.start()
+        try:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait()
+        finally:
+            watchdog.cancel()
+    elapsed = time.monotonic() - start
+    assert head.startswith(b"i,leg_a,leg_b,hyp,gcd,primitive\n1,3,4,5,1,True\n")
+    assert (code, elapsed < bound) == (2, True), (code, elapsed)
+    assert err.startswith(b"error: ") and b"Traceback" not in err

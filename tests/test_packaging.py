@@ -138,3 +138,39 @@ def test_a_forked_child_never_returns_into_its_caller():
     [body] = child[0].body
     assert isinstance(body, ast.Try) and body.finalbody
     assert isinstance(body.finalbody[-1], ast.Expr) and _is_call(body.finalbody[-1].value, "os", "_exit")
+
+
+def _stream_of(node):
+    """'stdout' or 'stderr' when node is sys.stdout or sys.stderr, else None."""
+    if (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+            and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+        return node.attr
+    return None
+
+
+def _writes(node):
+    """The stream a node writes to: a print call (stdout unless its file= is
+    sys.stderr), a read of sys.stdout.write or sys.stderr.write (called or
+    bound), or a writer or dump call handed sys.stdout or sys.stderr."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+        [target] = [kw.value for kw in node.keywords if kw.arg == "file"] or [None]
+        return "stdout" if target is None else _stream_of(target) or "file"
+    if isinstance(node, ast.Attribute) and node.attr in ("write", "writelines"):
+        return _stream_of(node.value)
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("writer", "DictWriter", "dump"):
+        return next(filter(None, map(_stream_of, node.args)), None)
+    return None
+
+
+def test_one_output_layer_writes_stdout_and_one_helper_stderr():
+    # rows stream to stdout through cli._emit alone, so no command can print
+    # around it, and cli._fail alone reports errors on stderr
+    writers = {"stdout": set(), "stderr": set()}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            scope = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                stream = _writes(node)
+                if stream in writers:
+                    writers[stream].add(scope)
+    assert writers == {"stdout": {"cli._emit"}, "stderr": {"cli._fail"}}
