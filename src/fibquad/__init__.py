@@ -42,7 +42,6 @@ from .quadratic import (
     RootPair,
     analyze,
     build_quadratic,
-    derivative,
     evaluate,
     integral_breakdown,
     integrate,

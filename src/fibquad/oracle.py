@@ -7,8 +7,8 @@ its kernel _antiderivative6; enumerate_triples scans every hypotenuse and
 shares nothing with the window construction (it is quadratic in the
 hypotenuse, so only the tests run it, on small windows).
 
-What each registered claim checks, every window sweep reading its
-windows from fibonacci.windows:
+What each registered claim checks, every window sweep as a check of one
+window that _share runs on the windows of fibonacci.windows:
 
 - window-triples: the paper's product form (t0*t3, 2*t1*t2, t1^2 + t2^2)
   satisfies the Pythagorean identity and equals triple_from_window's
@@ -43,20 +43,23 @@ compares a shipped routine with a different computation, and the
 theorem3 sweep also accepts a deliberate coefficient mutation and must
 report it.
 
-The roots and theorem3 sweeps check every window on its own, so a large
-one runs on the CPUs of the process's affinity mask: a sweep of N windows
-takes min(CPUs, N // WINDOWS_PER_PROCESS) processes, the caller and
-forked children, each checking the windows i with i % size == rank, and
-returns the records in the order one process finds them in. It stays in
-one process where os.fork is missing or another thread is running;
-`taskset -c 0 fibquad verify ...` runs it in one process too.
+A window claim is a check of one window: given its index and terms, it
+returns the records found there. _share alone walks the windows, runs a
+check on each and puts the index first in each record. _in_shares splits
+the costlier roots and theorem3 sweeps across the CPUs of the affinity
+mask, N windows in min(CPUs, N // WINDOWS_PER_PROCESS) processes, each
+running _share on the windows congruent to its rank modulo the process
+count; it stays in one process where os.fork is missing, another thread
+runs or under `taskset -c 0`. A fork slows the cheaper window-triples
+and mod3 witness sweeps (README, "Verification design"), so they run in
+one process.
 """
 
 import math
 import os
 import time
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import families, quadratic
 from .fibonacci import fib_mod, mod3_witness, windows
@@ -120,6 +123,9 @@ Records = List[Dict[str, Any]]
 
 # What a claim found: its scope, as the report's range, and its records.
 Found = Tuple[str, Records]
+
+# A window claim's check of window i with terms w: its records, without i.
+Check = Callable[[int, Tuple[int, int, int, int]], Iterable[Dict[str, Any]]]
 
 
 def _simpson6(q: QuadPoly, low: int, high: int, d: int) -> int:
@@ -260,9 +266,21 @@ def _processes(n: int) -> int:
     return size if threading.active_count() == 1 else 1
 
 
-def _in_shares(share: Callable[[SweepConfig, int, int], Records], config: SweepConfig, n: int) -> Records:
-    """share(config, rank, size) for every rank of a sweep of n windows,
-    the records merged into the order one process finds them in.
+def _share(check: Check, n: int, rank: int = 0, size: int = 1) -> Records:
+    """check(i, w) on the windows i of 1..n congruent to rank modulo size,
+    in window order, each record it returns led by its window index i."""
+    return [{"i": i, **found} for i, w in enumerate(windows(1, n), 1) if i % size == rank
+            for found in check(i, w)]
+
+
+def _in_shares(check: Check, n: int) -> Records:
+    """_share(check, n, rank, size) for every rank of a sweep of n
+    windows, the records merged into the order one process finds them in.
+
+    The roots and theorem3 claims sweep through here. Window-triples and
+    mod3's witness scan call _share in one process: every rank walks all
+    n windows, and their checks cost little more than that walk, so a
+    fork slowed a one-shot window-triples sweep at 1000 to 6000 windows.
 
     Ranks 1..size-1 run in forked children, rank 0 in the caller. Each
     child pickles its records, or the exception it raised, into a pipe;
@@ -272,7 +290,7 @@ def _in_shares(share: Callable[[SweepConfig, int, int], Records], config: SweepC
     """
     size = _processes(n)
     if size == 1:
-        return share(config, 0, 1)
+        return _share(check, n)
     import pickle
     import signal
     children, done = [], False
@@ -288,7 +306,7 @@ def _in_shares(share: Callable[[SweepConfig, int, int], Records], config: SweepC
             if pid == 0:
                 try:
                     try:
-                        outcome = share(config, rank, size)
+                        outcome = _share(check, n, rank, size)
                     except BaseException as exc:
                         outcome = exc
                     try:
@@ -301,7 +319,7 @@ def _in_shares(share: Callable[[SweepConfig, int, int], Records], config: SweepC
                     os._exit(0)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        shares = [share(config, 0, size)]
+        shares = [_share(check, n, 0, size)]
         for rank, (pid, pipe) in enumerate(children, 1):
             data = pipe.read()
             if not data:
@@ -326,20 +344,16 @@ def claim_window_triples(config: SweepConfig) -> Found:
     """Window triples: the product form recomputed inline satisfies the
     Pythagorean identity and equals triple_from_window, whose side gcd
     is 2 exactly when 3 divides i (t1 and t2 both odd), else 1."""
-    counterexamples = []
-    for i, w in enumerate(windows(1, config.triples_max), 1):
+    def check(i, w):
         t0, t1, t2, t3 = w
         alpha, beta, gamma = t0 * t3, 2 * t1 * t2, t1 * t1 + t2 * t2
         if alpha <= 0 or beta <= 0 or gamma <= 0 or alpha * alpha + beta * beta != gamma * gamma:
-            problem = "alpha^2 + beta^2 != gamma^2"
+            yield {"problem": "alpha^2 + beta^2 != gamma^2"}
         elif (t := triple_from_window(w)) != (alpha, beta, gamma):
-            problem = "construction disagrees with direct products"
+            yield {"problem": "construction disagrees with direct products"}
         elif primitivity(t)[1] != (2 if i % 3 == 0 else 1):
-            problem = "side gcd off the parity law"
-        else:
-            continue
-        counterexamples.append({"i": i, "problem": problem})
-    return f"windows 1..{config.triples_max}", counterexamples
+            yield {"problem": "side gcd off the parity law"}
+    return f"windows 1..{config.triples_max}", _share(check, config.triples_max)
 
 
 def claim_scaling(config: SweepConfig) -> Found:
@@ -361,12 +375,11 @@ def claim_scaling(config: SweepConfig) -> Found:
     return f"window triples 1..6, k in 1..{config.scale_max}", counterexamples
 
 
-def _roots_share(config: SweepConfig, rank: int, size: int) -> Records:
-    """The roots checks on the windows i of 1..roots_max with i % size == rank."""
-    counterexamples = []
-    for i, w in enumerate(windows(1, config.roots_max), 1):
-        if i % size != rank:
-            continue
+def claim_roots(config: SweepConfig) -> Found:
+    """Root formula: the solver's roots on the built quadratic must equal
+    roots_via_triple's -hyp +/- other and be integers, for both choices
+    of seed leg."""
+    def check(i, w):
         t = triple_from_window(w)
         for leg, other in ((t.leg_a, t.leg_b), (t.leg_b, t.leg_a)):
             rp = solve_quadratic(build_quadratic(leg, t.hyp, POSITIVE))
@@ -376,15 +389,8 @@ def _roots_share(config: SweepConfig, rank: int, size: int) -> Records:
                 problem = "roots are not integers"
             else:
                 continue
-            counterexamples.append({"i": i, "leg": leg, "problem": problem})
-    return counterexamples
-
-
-def claim_roots(config: SweepConfig) -> Found:
-    """Root formula: the solver's roots on the built quadratic must equal
-    roots_via_triple's -hyp +/- other and be integers, for both choices
-    of seed leg."""
-    return f"windows 1..{config.roots_max}, both legs", _in_shares(_roots_share, config, config.roots_max)
+            yield {"leg": leg, "problem": problem}
+    return f"windows 1..{config.roots_max}, both legs", _in_shares(check, config.roots_max)
 
 
 def claim_family345(config: SweepConfig) -> Found:
@@ -429,16 +435,15 @@ def claim_mod3(config: SweepConfig) -> Found:
         else:
             continue
         counterexamples.append({"n": idx // 4, "index": idx, **found})
-    scanned = min(config.mod3_max, WITNESS_MAX)
-    for i, w in enumerate(windows(1, scanned), 1):
+
+    def check(i, w):
         hits = [pos for pos, term in enumerate(w) if term % 3 == 0]
         if len(hits) != 1:
-            problem = f"{len(hits)} terms divisible by 3"
+            yield {"problem": f"{len(hits)} terms divisible by 3"}
         elif mod3_witness(i) != hits[0]:
-            problem = "witness position disagrees with scan"
-        else:
-            continue
-        counterexamples.append({"i": i, "problem": problem})
+            yield {"problem": "witness position disagrees with scan"}
+    scanned = min(config.mod3_max, WITNESS_MAX)
+    counterexamples += _share(check, scanned)
     return f"multiples 4n with n in 1..{config.mod3_max}; windows 1..{scanned}", counterexamples
 
 
@@ -446,17 +451,27 @@ def _roots_record(rp: RootPair) -> Dict[str, Any]:
     return {"kind": rp.kind, "x1": rp.x1, "x2": rp.x2}
 
 
-def _theorem3_share(config: SweepConfig, rank: int, size: int) -> Records:
-    """The theorem3 checks on the windows i of 1..theorem3_max with
-    i % size == rank."""
+def claim_theorem3(config: SweepConfig) -> Found:
+    """Integer-integral sweep with the independent oracles in the same
+    pass: both members of each window 1..theorem3_max are built once,
+    from its one triple, flavor f then g, the configured fault, if any, is applied, and every check
+    reads that one polynomial.
+
+    The closed roots x1 = -hyp + other > x2 = -hyp - other are integers,
+    so each check runs in plain ints on the library's own kernels, scaled
+    by 6 where a value may be a third or a half: the discriminant root r
+    against 2a*x = -b +/- r, the integral 6*I from _antiderivative6, its
+    parts from _breakdown6 summing to it and each divisible by 6,
+    Simpson's 6*S from its own kernel against 6*I, and substitution
+    (a*x + b)*x + c == 0 of both closed roots. A Fraction is built only
+    to report a counterexample.
+    """
     fault = config.fault
     # Read at call time, so that a kernel swapped on its module is the one checked.
     disc_root, antiderivative6, breakdown6 = (
         quadratic._discriminant_root, quadratic._antiderivative6, quadratic._breakdown6)
-    counterexamples = []
-    for i, w in enumerate(windows(1, config.theorem3_max), 1):
-        if i % size != rank:
-            continue
+
+    def check(i, w):
         for member in families.members(w):
             flavor, closed = member.flavor, member.closed_roots
             poly = member.poly if fault is None else fault.apply(i, flavor, member.poly)
@@ -480,27 +495,8 @@ def _theorem3_share(config: SweepConfig, rank: int, size: int) -> Records:
                 problems.append({"problem": "Simpson disagrees with antiderivative"})
             if (a * x1 + b) * x1 + c or (a * x2 + b) * x2 + c:
                 problems.append({"problem": "closed-form roots fail direct evaluation"})
-            counterexamples += ({"i": i, "flavor": flavor, **found} for found in problems)
-    return counterexamples
-
-
-def claim_theorem3(config: SweepConfig) -> Found:
-    """Integer-integral sweep with the independent oracles in the same
-    pass: both members of each window 1..theorem3_max are built once,
-    from its one triple, flavor f then g, the configured fault, if any, is applied, and every check
-    reads that one polynomial.
-
-    The closed roots x1 = -hyp + other > x2 = -hyp - other are integers,
-    so each check runs in plain ints on the library's own kernels, scaled
-    by 6 where a value may be a third or a half: the discriminant root r
-    against 2a*x = -b +/- r, the integral 6*I from _antiderivative6, its
-    parts from _breakdown6 summing to it and each divisible by 6,
-    Simpson's 6*S from its own kernel against 6*I, and substitution
-    (a*x + b)*x + c == 0 of both closed roots. A Fraction is built only
-    to report a counterexample.
-    """
-    return (f"windows 1..{config.theorem3_max}, flavors f and g",
-            _in_shares(_theorem3_share, config, config.theorem3_max))
+            yield from ({"flavor": flavor, **problem} for problem in problems)
+    return f"windows 1..{config.theorem3_max}, flavors f and g", _in_shares(check, config.theorem3_max)
 
 
 CLAIMS = {

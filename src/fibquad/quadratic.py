@@ -127,11 +127,6 @@ def roots_via_triple(leg: int, other: int, hyp: int) -> RootPair:
     return RootPair(Fraction(-hyp + other), Fraction(-hyp - other), TWO_DISTINCT)
 
 
-def derivative(q: QuadPoly) -> Tuple[int, int]:
-    """Slope and intercept (2a, b) of the derivative line."""
-    return 2 * q.a, q.b
-
-
 def evaluate(q: QuadPoly, x) -> Fraction:
     """Exact value of q at a rational point, an int or a Fraction.
 

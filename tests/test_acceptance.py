@@ -27,7 +27,6 @@ from fibquad.quadratic import (
     QuadPoly,
     analyze,
     build_quadratic,
-    derivative,
     evaluate,
     integrate,
     solve_quadratic,
@@ -94,8 +93,7 @@ def test_criterion_3_family_sweep_to_1000():
             _, q = family_345(n, flavor)
             rp = solve_quadratic(q)
             ok = ok and (rp.x1, rp.x2) == roots
-            slope, intercept = derivative(q)
-            ok = ok and Fraction(-intercept, slope) == -5 * (n + 1)
+            ok = ok and Fraction(-q.b, 2 * q.a) == -5 * (n + 1)
             lo, hi = rp.x2, rp.x1
             ok = ok and abs(integrate(q, lo, hi)) == family_345_integral_abs(n, flavor)
             if not ok:

@@ -312,16 +312,27 @@ def _serial_and_split(monkeypatch, forked, claim, config):
     return one, two
 
 
-@pytest.mark.parametrize("claim, config", [
-    ("theorem3", SweepConfig(theorem3_max=SPLIT_MAX)),
-    ("roots", SweepConfig(roots_max=SPLIT_MAX)),
-    ("theorem3", SweepConfig(theorem3_max=SPLIT_MAX, fault=PolyFault("f", 7, "b"))),
-    ("theorem3", SweepConfig(theorem3_max=SPLIT_MAX, fault=PolyFault("g", 12, "c", -2))),
-], ids=["theorem3-clean", "roots-clean", "theorem3-fault-odd", "theorem3-fault-even"])
-def test_split_sweep_reports_as_one_process(monkeypatch, split, claim, config):
+@pytest.mark.parametrize("claim, config, broken", [
+    ("theorem3", SweepConfig(theorem3_max=SPLIT_MAX), ()),
+    ("roots", SweepConfig(roots_max=SPLIT_MAX), ()),
+    ("theorem3", SweepConfig(theorem3_max=SPLIT_MAX, fault=PolyFault("f", 7, "b")), ()),
+    ("theorem3", SweepConfig(theorem3_max=SPLIT_MAX, fault=PolyFault("g", 12, "c", -2)), ()),
+    ("roots", SweepConfig(roots_max=SPLIT_MAX), (7, 12)),
+], ids=["theorem3-clean", "roots-clean", "theorem3-fault-odd", "theorem3-fault-even", "roots-broken-odd-even"])
+def test_split_sweep_reports_as_one_process(monkeypatch, split, claim, config, broken):
+    # roots_via_triple is wrong for both legs of each broken window, one
+    # odd and one even, so both ranks' shares hold records for both legs
+    triples = [(i, triple_from_window(fib_window(i))) for i in broken]
+    hyps = {t.hyp for _, t in triples}
+    monkeypatch.setattr(oracle, "roots_via_triple", _wrong_at(
+        lambda leg, other, hyp: hyp in hyps, lambda rp, *sides: RootPair(rp.x2, rp.x1, rp.kind))(
+        oracle.roots_via_triple))
     one, two = _serial_and_split(monkeypatch, split, claim, config)
     assert two == one
-    assert (one["status"], len(one["counterexamples"])) == (("pass", 0) if config.fault is None else ("fail", 2))
+    expected = 2 if config.fault else 2 * len(broken)
+    assert (one["status"], len(one["counterexamples"])) == ("fail" if expected else "pass", expected)
+    assert [(ce["i"], ce["leg"]) for ce in one["counterexamples"] if claim == "roots"] == [
+        (str(i), str(leg)) for i, t in triples for leg in (t.leg_a, t.leg_b)]
 
 
 def test_split_sweep_keeps_the_order_of_many_counterexamples(monkeypatch, split):

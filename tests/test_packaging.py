@@ -42,19 +42,47 @@ def test_modules_use_every_name_they_import():
     assert unused == []
 
 
+def _oracle_functions():
+    """oracle.py's top-level functions by name; a claim's window check is
+    nested in its claim_* function."""
+    tree = ast.parse(PACKAGE.joinpath("oracle.py").read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
 def test_claims_leave_number_rendering_to_run_claim():
     # a claim returns raw values and run_claim alone puts them in wire
-    # form, so no claim_* function in oracle.py, nor the *_share loop a
-    # claim splits across processes, may read number_str or any to_dict,
-    # which would hand it text already rendered
-    tree = ast.parse(PACKAGE.joinpath("oracle.py").read_text(encoding="utf-8"))
-    claims = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-              and (node.name.startswith("claim_") or node.name.endswith("_share"))]
+    # form, so no claim_* function in oracle.py, nor a window check nested
+    # in one, nor _share, which runs the checks, may read number_str or
+    # any to_dict, which would hand it text already rendered
+    functions = _oracle_functions()
+    claims = [functions[name] for name in ("claim_window_triples", "claim_scaling", "claim_roots",
+                                           "claim_family345", "claim_mod3", "claim_theorem3", "_share")
+              if name in functions]
     reads = [f"{claim.name}:{node.lineno}" for claim in claims for node in ast.walk(claim)
              if (isinstance(node, ast.Name) and node.id == "number_str")
              or (isinstance(node, ast.Attribute) and node.attr == "to_dict")]
-    assert len(claims) >= 8
+    assert len(claims) == 7
     assert reads == []
+
+
+def test_one_function_walks_and_splits_the_windows():
+    # _share alone iterates windows(...), runs a claim's check on each and
+    # filters by rank, so every window sweep reads its windows, splits and
+    # labels its records in one place; claim_scaling's six base triples are
+    # the one other read of windows
+    walks, splits = [], []
+    for name, function in _oracle_functions().items():
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "windows":
+                walks.append(f"{name}: {ast.unparse(node)}")
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                    and getattr(node.right, "id", None) == "size"):
+                splits.append(name)
+            if isinstance(node, ast.Compare) and any(
+                    getattr(operand, "id", None) == "rank" for operand in (node.left, *node.comparators)):
+                splits.append(name)
+    assert sorted(walks) == ["_share: windows(1, n)", "claim_scaling: windows(1, 6)"]
+    assert set(splits) == {"_share"}
 
 
 def test_loops_read_windows_from_the_iterator():

@@ -23,7 +23,6 @@ from fibquad.quadratic import (
     _discriminant_root,
     analyze,
     build_quadratic,
-    derivative,
     evaluate,
     integral_breakdown,
     integrate,
@@ -126,12 +125,6 @@ def test_root_identity_random_triples():
             assert solved.x1.denominator == 1 and solved.x2.denominator == 1
             # discriminant is the perfect square (2*leg*other)^2
             assert q.b * q.b - 4 * q.a * q.c == (2 * leg * other) ** 2
-
-
-def test_derivative_examples():
-    assert derivative(QuadPoly(3, 30, 27)) == (6, 30)
-    assert derivative(QuadPoly(1, 0, 0)) == (2, 0)
-    assert derivative(QuadPoly(4, 40, 64)) == (8, 40)
 
 
 def test_vertex_examples():
