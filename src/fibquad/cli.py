@@ -161,12 +161,13 @@ def cmd_triples(args) -> int:
     return EXIT_OK
 
 
+def _leg_quadratic(args) -> QuadPoly:
+    """The quadratic of --leg and --hyp, mirrored under --neg."""
+    return build_quadratic(args.leg, args.hyp, NEGATIVE if args.neg else POSITIVE)
+
+
 def cmd_quad(args) -> int:
-    if args.quad_cmd == "build":
-        orientation = NEGATIVE if args.neg else POSITIVE
-        q = build_quadratic(args.leg, args.hyp, orientation)
-    else:
-        q = QuadPoly(args.a, args.b, args.c)
+    q = _leg_quadratic(args) if args.quad_cmd == "build" else QuadPoly(args.a, args.b, args.c)
     row = _analysis_row(analyze(q))
     _emit(args.format, ANALYSIS_COLUMNS, [row], lambda: _analysis_json(row),
           lambda: "\n".join(f"{key:>16}: {'-' if v is None else _cell(v)}"
@@ -175,15 +176,14 @@ def cmd_quad(args) -> int:
 
 
 def cmd_family(args) -> int:
-    flavors = [families.FLAVOR_F, families.FLAVOR_G] if args.flavor == "both" else [args.flavor]
-
     def members():
         for n in range(0, args.n_max + 1):
-            for flavor in flavors:
-                t, q = families.family_345(n, flavor)
-                r = analyze(q)
-                closed = families.family_345_integral_abs(n, flavor)
-                yield n, flavor, t, r, closed, r.integral_abs == closed
+            t, pair = families.family_345(n)
+            for flavor, q, _ in pair:
+                if args.flavor in ("both", flavor):
+                    r = analyze(q)
+                    closed = families.family_345_integral_abs(n, flavor)
+                    yield n, flavor, t, r, closed, r.integral_abs == closed
 
     made = members()
     _emit(args.format,
@@ -217,8 +217,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    orientation = NEGATIVE if args.neg else POSITIVE
-    q = build_quadratic(args.leg, args.hyp, orientation)
+    q = _leg_quadratic(args)
     svg = render_quadratic_svg(q)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -248,6 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, default="table",
                        help="output format (default: table)")
 
+    def add_leg(p):
+        """The options _leg_quadratic reads."""
+        p.add_argument("--leg", type=_positive, required=True)
+        p.add_argument("--hyp", type=_positive, required=True)
+        p.add_argument("--neg", action="store_true", help="mirror orientation -q(-x)")
+
     p = sub.add_parser("fib", help="Fibonacci term, optionally reduced modulo m")
     p.add_argument("--n", type=_nonneg, required=True, help="term index (>= 0)")
     p.add_argument("--mod", type=_integer, default=None, help="modulus (>= 2)")
@@ -266,9 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quad", help="build or analyze a quadratic")
     quad_sub = p.add_subparsers(dest="quad_cmd", required=True)
     pb = quad_sub.add_parser("build", help="build from a triple leg and hypotenuse")
-    pb.add_argument("--leg", type=_positive, required=True)
-    pb.add_argument("--hyp", type=_positive, required=True)
-    pb.add_argument("--neg", action="store_true", help="mirror orientation -q(-x)")
+    add_leg(pb)
     add_format(pb)
     pb.set_defaults(func=cmd_quad)
     pa = quad_sub.add_parser("analyze", help="analyze raw coefficients")
@@ -294,9 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("plot", help="write an SVG figure of a built quadratic")
-    p.add_argument("--leg", type=_positive, required=True)
-    p.add_argument("--hyp", type=_positive, required=True)
-    p.add_argument("--neg", action="store_true", help="mirror orientation -q(-x)")
+    add_leg(p)
     p.add_argument("--out", required=True, help="output SVG path")
     add_format(p)
     p.set_defaults(func=cmd_plot)

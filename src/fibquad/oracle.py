@@ -19,16 +19,16 @@ window that _share runs on the windows of fibonacci.windows:
 - roots: the solver's roots on the quadratic built from either leg equal
   roots_via_triple's -hyp +/- other and are integers.
 - family345: roots, derivative root, vertex value and |integral| of the
-  scaled (3,4,5) family equal their closed forms.
+  two members of each scaled (3,4,5) triple equal their closed forms.
 - mod3: F(4n) = 0 (mod 3) by a linear residue sweep, which fib_mod
   must match at every multiple of 4, and a scan of windows
   1..min(mod3_max, WITNESS_MAX) finds exactly one term divisible by 3 in
   each, at the position mod3_witness derives from the index alone.
 - theorem3: one pass over the windows, whose f and g members
-  families.members builds once from one triple; per member the solver
-  against the closed roots, integrality of the root-to-root integral and
-  of its parts P1, P2, P3, Simpson against that same integral and
-  substitution of both closed roots. Every check runs in plain integers
+  families.members builds once from the window's triple; per member the
+  solver against the closed roots, integrality of the root-to-root
+  integral and of its parts P1, P2, P3, Simpson against that same
+  integral and substitution of both closed roots. Every check runs in plain integers
   on the library's own kernels (the solver's discriminant root,
   _antiderivative6, _breakdown6 and _simpson6), and a Fraction is built
   only to report a counterexample.
@@ -77,23 +77,14 @@ from .quadratic import (
 from .triples import Triple, primitivity, scale, triple_from_window
 
 
-class _ReportFields(NamedTuple):
-    claim_id: str
-    range: str
-    counterexamples: List[Dict[str, Any]]
-    elapsed: float
-
-
-class VerificationReport(Checked, _ReportFields):
+class VerificationReport(NamedTuple):
     """Outcome of one claim sweep; it passes exactly when no
     counterexample was found."""
 
-    __slots__ = ()
-
-    def __new__(cls, claim_id: str, range: str, counterexamples: Optional[List[Dict[str, Any]]] = None,
-                elapsed: float = 0.0):
-        """Without counterexamples, each report gets an empty list of its own."""
-        return tuple.__new__(cls, (claim_id, range, [] if counterexamples is None else counterexamples, elapsed))
+    claim_id: str
+    range: str
+    counterexamples: List[Dict[str, Any]]
+    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -395,13 +386,12 @@ def claim_roots(config: SweepConfig) -> Found:
 
 def claim_family345(config: SweepConfig) -> Found:
     """Scaled (3,4,5) family: roots, derivative root, vertex value, and
-    |integral| must match their closed forms at every n."""
+    |integral| of both members of (n+1)*(3,4,5) match their closed forms."""
     counterexamples = []
     # Per flavor, both roots in units of n + 1 and the vertex value in units of (n + 1)^3.
     closed = {families.FLAVOR_F: (-1, -9, -48), families.FLAVOR_G: (-2, -8, -36)}
     for n in range(0, config.family_max + 1):
-        for flavor in (families.FLAVOR_F, families.FLAVOR_G):
-            _, q = families.family_345(n, flavor)
+        for flavor, q, _ in families.family_345(n)[1]:
             rp = solve_quadratic(q)
             x1, x2, y = closed[flavor]
             if (rp.x1, rp.x2) != (x1 * (n + 1), x2 * (n + 1)):
@@ -453,9 +443,10 @@ def _roots_record(rp: RootPair) -> Dict[str, Any]:
 
 def claim_theorem3(config: SweepConfig) -> Found:
     """Integer-integral sweep with the independent oracles in the same
-    pass: both members of each window 1..theorem3_max are built once,
-    from its one triple, flavor f then g, the configured fault, if any, is applied, and every check
-    reads that one polynomial.
+    pass: families.members builds both members of each window
+    1..theorem3_max once, from the window's one triple, flavor f then g,
+    the configured fault, if any, is applied, and every check reads that
+    one polynomial.
 
     The closed roots x1 = -hyp + other > x2 = -hyp - other are integers,
     so each check runs in plain ints on the library's own kernels, scaled
@@ -472,7 +463,7 @@ def claim_theorem3(config: SweepConfig) -> Found:
         quadratic._discriminant_root, quadratic._antiderivative6, quadratic._breakdown6)
 
     def check(i, w):
-        for member in families.members(w):
+        for member in families.members(triple_from_window(w)):
             flavor, closed = member.flavor, member.closed_roots
             poly = member.poly if fault is None else fault.apply(i, flavor, member.poly)
             a, b, c = poly.a, poly.b, poly.c

@@ -69,6 +69,18 @@ class AnalysisReport(NamedTuple):
     breakdown: Optional[Tuple[Fraction, Fraction, Fraction]]
 
 
+def _leg_poly(leg: int, hyp: int) -> QuadPoly:
+    """The coefficient scheme (leg, 2*leg*hyp, leg**3) of a leg and the
+    hypotenuse of a triple its caller has already checked."""
+    return QuadPoly(leg, 2 * leg * hyp, leg ** 3)
+
+
+def _closed_roots(other: int, hyp: int) -> RootPair:
+    """The closed roots -hyp + other and -hyp - other of _leg_poly(leg,
+    hyp), other being the leg of a checked triple that did not seed it."""
+    return RootPair(Fraction(-hyp + other), Fraction(-hyp - other), TWO_DISTINCT)
+
+
 def build_quadratic(leg: int, hyp: int, orientation: str = POSITIVE) -> QuadPoly:
     """Quadratic (leg, 2*leg*hyp, leg**3) from a triple leg and hypotenuse.
 
@@ -86,11 +98,10 @@ def build_quadratic(leg: int, hyp: int, orientation: str = POSITIVE) -> QuadPoly
             f"hyp^2 - leg^2 = {number_str(hyp * hyp - leg * leg)} is not a perfect square; "
             f"(leg={number_str(leg)}, hyp={number_str(hyp)}) does not extend to a Pythagorean triple"
         )
-    if orientation == POSITIVE:
-        return QuadPoly(leg, 2 * leg * hyp, leg ** 3)
-    if orientation == NEGATIVE:
-        return QuadPoly(-leg, 2 * leg * hyp, -(leg ** 3))
-    raise ValueError(f"orientation must be {POSITIVE!r} or {NEGATIVE!r}, got {orientation!r}")
+    if orientation not in (POSITIVE, NEGATIVE):
+        raise ValueError(f"orientation must be {POSITIVE!r} or {NEGATIVE!r}, got {orientation!r}")
+    q = _leg_poly(leg, hyp)
+    return q if orientation == POSITIVE else QuadPoly(-q.a, q.b, -q.c)
 
 
 def _discriminant_root(q: QuadPoly) -> Optional[int]:
@@ -124,7 +135,7 @@ def roots_via_triple(leg: int, other: int, hyp: int) -> RootPair:
     if not (leg > 0 and other > 0 and hyp > 0 and leg * leg + other * other == hyp * hyp):
         sides = ", ".join(map(number_str, (leg, other, hyp)))
         raise ValueError(f"({sides}) is not a Pythagorean triple")
-    return RootPair(Fraction(-hyp + other), Fraction(-hyp - other), TWO_DISTINCT)
+    return _closed_roots(other, hyp)
 
 
 def evaluate(q: QuadPoly, x) -> Fraction:

@@ -88,9 +88,8 @@ def test_criterion_3_family_sweep_to_1000():
     t0 = time.perf_counter()
     ok = True
     for n in range(0, 1001):
-        for flavor, roots in ((FLAVOR_F, (-(n + 1), -9 * (n + 1))),
-                              (FLAVOR_G, (-2 * (n + 1), -8 * (n + 1)))):
-            _, q = family_345(n, flavor)
+        f, g = family_345(n)[1]
+        for (flavor, q, _), roots in ((f, (-(n + 1), -9 * (n + 1))), (g, (-2 * (n + 1), -8 * (n + 1)))):
             rp = solve_quadratic(q)
             ok = ok and (rp.x1, rp.x2) == roots
             ok = ok and Fraction(-q.b, 2 * q.a) == -5 * (n + 1)

@@ -703,8 +703,10 @@ def family_reference(n_max, flavors):
     header = ["n", "a", "b", "c", "x1", "x2", "vx", "vy", "integral_abs", "flavor", "closed_form", "match"]
     records, lines = [], [header]
     for n in range(n_max + 1):
-        for flavor in flavors:
-            t, q = families.family_345(n, flavor)
+        t, pair = families.family_345(n)
+        for flavor, q, _ in pair:
+            if flavor not in flavors:
+                continue
             r = analyze(q)
             closed = families.family_345_integral_abs(n, flavor)
             match = r.integral_abs == closed

@@ -13,7 +13,7 @@ from fibquad.families import (
 )
 from fibquad.fibonacci import fib_window
 from fibquad.quadratic import analyze, evaluate, integrate, solve_quadratic
-from fibquad.triples import triple_from_window
+from fibquad.triples import scale, triple_from_window
 
 
 def test_build_f_examples():
@@ -107,16 +107,19 @@ def test_window_product_divisible_by_3():
 
 def test_generalized_windows_build_triples_and_members():
     # the triple is an identity in (t1, t2), so any window (m - n, n, m, m + n)
-    # gives it, and members whose closed roots are the solver's
+    # gives it, and any multiple of it has members whose closed roots are the
+    # solver's
     for m in range(2, 13):
         for n in range(1, m):
             w = t0, t1, t2, t3 = (m - n, n, m, m + n)
             assert triple_from_window(w) == (t0 * t3, 2 * t1 * t2, t1 * t1 + t2 * t2)
-            for flavor, member in zip((FLAVOR_F, FLAVOR_G), families.members(w)):
-                assert member.flavor == flavor
-                roots = member.closed_roots
-                assert evaluate(member.poly, roots.x1) == evaluate(member.poly, roots.x2) == 0
-                assert solve_quadratic(member.poly) == roots
+            for k in (1, 3):
+                t = scale(triple_from_window(w), k)
+                for flavor, leg, member in zip((FLAVOR_F, FLAVOR_G), t, families.members(t)):
+                    assert (member.flavor, member.poly.a) == (flavor, leg)
+                    roots = member.closed_roots
+                    assert evaluate(member.poly, roots.x1) == evaluate(member.poly, roots.x2) == 0
+                    assert solve_quadratic(member.poly) == roots
 
 
 def test_theorem3_spot_values():
@@ -135,17 +138,15 @@ def test_theorem3_spot_values():
 
 
 def test_family_345_members():
-    t, q = family_345(0, FLAVOR_F)
+    t, (f, g) = family_345(0)
     assert t == (3, 4, 5)
-    assert q == (3, 30, 27)
+    assert (f.flavor, f.poly) == (FLAVOR_F, (3, 30, 27))
+    assert (g.flavor, g.poly) == (FLAVOR_G, (4, 40, 64))
 
-    t, q = family_345(0, FLAVOR_G)
-    assert q == (4, 40, 64)
-
-    t, q = family_345(1, FLAVOR_F)
+    t, (f, _) = family_345(1)
     assert t == (6, 8, 10)
-    assert q == (6, 120, 216)
-    rep = analyze(q)
+    assert f.poly == (6, 120, 216)
+    rep = analyze(f.poly)
     assert (rep.roots.x1, rep.roots.x2) == (-2, -18)
     assert rep.integral_abs == 4096 == family_345_integral_abs(1, FLAVOR_F)
 
@@ -158,6 +159,4 @@ def test_family_345_closed_integrals():
 
 def test_family_345_validates_arguments():
     with pytest.raises(ValueError):
-        family_345(-1, FLAVOR_F)
-    with pytest.raises(ValueError):
-        family_345(0, "h")
+        family_345(-1)

@@ -116,22 +116,22 @@ def test_theorem3_fault_reports_are_pinned(case):
 
 
 def test_theorem3_builds_each_member_once(monkeypatch):
-    # both members of a window come from one families.members call
+    # both members of a window come from one families.members call on its triple
     calls = []
     members = families.members
-    monkeypatch.setattr(families, "members", lambda w: calls.append(w) or members(w))
+    monkeypatch.setattr(families, "members", lambda t: calls.append(t) or members(t))
     n = 37
     assert run_claim("theorem3", SweepConfig(theorem3_max=n, fault=PolyFault("g", 5, "b"))).counterexamples
-    assert calls == [fib_window(i) for i in range(1, n + 1)]
+    assert calls == [triple_from_window(fib_window(i)) for i in range(1, n + 1)]
 
 
 def test_theorem3_derives_each_window_once_per_member(monkeypatch):
     # the sweep seeds its windows with one fast-doubling pass and builds one
     # triple per window
     pairs, triples = [], []
-    pair, triple = fibonacci._fib_pair, families.triple_from_window
+    pair, triple = fibonacci._fib_pair, oracle.triple_from_window
     monkeypatch.setattr(fibonacci, "_fib_pair", lambda *args: pairs.append(args) or pair(*args))
-    monkeypatch.setattr(families, "triple_from_window", lambda w: triples.append(w) or triple(w))
+    monkeypatch.setattr(oracle, "triple_from_window", lambda w: triples.append(w) or triple(w))
     n = 10
     assert run_claim("theorem3", SweepConfig(theorem3_max=n)).passed
     assert len(pairs) == 1 and len(triples) == n
@@ -144,7 +144,8 @@ def _wrong_at(match, wrong):
 
 
 HYP_3, HYP_6 = (triple_from_window(fib_window(i)).hyp for i in (3, 6))
-N5_345 = {families.family_345(5, flavor)[1] for flavor in ("f", "g")}
+N5_TRIPLE, N5_MEMBERS = families.family_345(5)
+N5_345 = {member.poly for member in N5_MEMBERS}
 
 # One fault per claim other than theorem3 (which takes PolyFault): the
 # routine the claim checks is wrong at one location, and the claim must
@@ -166,6 +167,9 @@ ROUTINE_FAULTS = {
         families, "family_345_integral_abs",
         {"n": "5", "flavor": "f", "problem": "|integral| off closed form", "value": "331776"},
         _wrong_at(lambda n, flavor: n == 5, lambda v, n, flavor: v + 1)),
+    "family345/members": (
+        families, "members", {"n": "5", "flavor": "f", "problem": "roots off closed form"},
+        lambda real: lambda t: real(Triple(t.leg_b, t.leg_a, t.hyp) if t == N5_TRIPLE else t)),
     "family345/vertex": (
         oracle, "vertex", {"n": "5", "flavor": "f", "problem": "vertex value off closed form"},
         _wrong_at(lambda q: q in N5_345, lambda v, q: (v[0], v[1] + 1))),
@@ -231,8 +235,8 @@ def test_theorem3_fails_on_a_wrong_kernel(monkeypatch, case):
 def test_counterexample_past_the_digit_limit_is_reported(monkeypatch, capsys):
     # the members of window 3000 in place of window 1, with P1 off by a half:
     # the reported value has more digits than int/str conversion allows
-    members3000 = families.members(fib_window(3000))
-    monkeypatch.setattr(families, "members", lambda w: members3000)
+    members3000 = families.members(triple_from_window(fib_window(3000)))
+    monkeypatch.setattr(families, "members", lambda t: members3000)
     monkeypatch.setattr(quadratic, "_breakdown6", _wrong_at(
         lambda *args: True, lambda parts, *args: (parts[0] + 3, parts[1] - 3, parts[2]))(quadratic._breakdown6))
     first = run_claim("theorem3", SweepConfig(theorem3_max=1)).counterexamples[0]

@@ -97,6 +97,19 @@ def test_loops_read_windows_from_the_iterator():
     assert calls == []
 
 
+def test_only_quadratic_builds_polynomials_and_roots():
+    # quadratic writes the coefficient scheme and the closed roots once, and
+    # families.members reads both from there; outside quadratic only quad
+    # analyze builds a QuadPoly, from raw coefficients
+    built = {f"{path.stem}.{getattr(top, 'name', '<module>')}: {name}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "quadratic.py"
+             for top in ast.parse(path.read_text(encoding="utf-8")).body
+             for node in ast.walk(top) if isinstance(node, ast.Call)
+             for name in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+             if name in ("QuadPoly", "RootPair")}
+    assert built == {"cli.cmd_quad: QuadPoly"}
+
+
 def test_only_the_verification_report_renders_itself():
     # the library returns raw values and numeric.wire renders every JSON
     # payload; VerificationReport.to_dict stays because verify and the

@@ -151,11 +151,3 @@ def test_every_construction_path_checks(cls, change, message):
             build()
             pytest.fail(f"{path} built an invalid {cls.__name__}")
 
-
-def test_report_default_counterexamples_are_not_shared():
-    first, second = VerificationReport("mod3", "forced"), VerificationReport("mod3", "forced")
-    first.counterexamples.append({"n": "1"})
-    assert second.counterexamples == [] and VerificationReport("a", "b").counterexamples == []
-    assert second.passed and not first.passed
-    assert second.to_dict() == {"claim": "mod3", "range": "forced", "status": "pass",
-                                "counterexamples": [], "elapsed": 0.0}
