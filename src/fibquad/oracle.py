@@ -16,10 +16,12 @@ window that _share runs on the windows of fibonacci.windows:
   when 3 divides i, else 1.
 - scaling: scaling a window triple by k scales every side and the side
   gcd by exactly k.
-- roots: the solver's roots on the quadratic built from either leg equal
-  roots_via_triple's -hyp +/- other and are integers.
+- roots: the solver's roots on both members families.members builds
+  from the window's triple, one per seed leg, equal the member's closed
+  roots -hyp +/- other and are integers.
 - family345: roots, derivative root, vertex value and |integral| of the
-  two members of each scaled (3,4,5) triple equal their closed forms.
+  two members of each scaled (3,4,5) triple equal their closed forms,
+  and the solver's roots equal the closed roots members built.
 - mod3: F(4n) = 0 (mod 3) by a linear residue sweep, which fib_mod
   must match at every multiple of 4, and a scan of windows
   1..min(mod3_max, WITNESS_MAX) finds exactly one term divisible by 3 in
@@ -64,16 +66,7 @@ from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tu
 from . import families, quadratic
 from .fibonacci import fib_mod, mod3_witness, windows
 from .numeric import Checked, number_str, wire
-from .quadratic import (
-    POSITIVE,
-    QuadPoly,
-    RootPair,
-    build_quadratic,
-    integrate,
-    roots_via_triple,
-    solve_quadratic,
-    vertex,
-)
+from .quadratic import QuadPoly, RootPair, integrate, solve_quadratic, vertex
 from .triples import Triple, primitivity, scale, triple_from_window
 
 
@@ -367,14 +360,14 @@ def claim_scaling(config: SweepConfig) -> Found:
 
 
 def claim_roots(config: SweepConfig) -> Found:
-    """Root formula: the solver's roots on the built quadratic must equal
-    roots_via_triple's -hyp +/- other and be integers, for both choices
-    of seed leg."""
+    """Root formula: on both members families.members builds from the
+    window's triple, one per seed leg, the solver's roots must equal the
+    member's closed roots -hyp +/- other and be integers."""
     def check(i, w):
         t = triple_from_window(w)
-        for leg, other in ((t.leg_a, t.leg_b), (t.leg_b, t.leg_a)):
-            rp = solve_quadratic(build_quadratic(leg, t.hyp, POSITIVE))
-            if rp != roots_via_triple(leg, other, t.hyp):
+        for leg, member in zip((t.leg_a, t.leg_b), families.members(t)):
+            rp = solve_quadratic(member.poly)
+            if rp != member.closed_roots:
                 problem = "solver disagrees with -hyp +/- other"
             elif rp.x1.denominator != 1 or rp.x2.denominator != 1:
                 problem = "roots are not integers"
@@ -386,15 +379,17 @@ def claim_roots(config: SweepConfig) -> Found:
 
 def claim_family345(config: SweepConfig) -> Found:
     """Scaled (3,4,5) family: roots, derivative root, vertex value, and
-    |integral| of both members of (n+1)*(3,4,5) match their closed forms."""
+    |integral| of both members of (n+1)*(3,4,5) match their closed forms;
+    the solver's roots match both this claim's own table and the closed
+    roots families.members built."""
     counterexamples = []
     # Per flavor, both roots in units of n + 1 and the vertex value in units of (n + 1)^3.
     closed = {families.FLAVOR_F: (-1, -9, -48), families.FLAVOR_G: (-2, -8, -36)}
     for n in range(0, config.family_max + 1):
-        for flavor, q, _ in families.family_345(n)[1]:
+        for flavor, q, closed_roots in families.family_345(n)[1]:
             rp = solve_quadratic(q)
             x1, x2, y = closed[flavor]
-            if (rp.x1, rp.x2) != (x1 * (n + 1), x2 * (n + 1)):
+            if rp != closed_roots or (rp.x1, rp.x2) != (x1 * (n + 1), x2 * (n + 1)):
                 found = {"problem": "roots off closed form"}
             elif (v := vertex(q))[0] != -5 * (n + 1):
                 found = {"problem": "derivative root off -5(n+1)"}

@@ -126,18 +126,6 @@ def solve_quadratic(q: QuadPoly) -> RootPair:
     return RootPair(Fraction(-q.b + r, 2 * q.a), Fraction(-q.b - r, 2 * q.a), TWO_DISTINCT)
 
 
-def roots_via_triple(leg: int, other: int, hyp: int) -> RootPair:
-    """Roots (-hyp + other, -hyp - other) straight from the triple.
-
-    Equals solve_quadratic(build_quadratic(leg, hyp)) but shares none of
-    its arithmetic, which makes the equality worth testing.
-    """
-    if not (leg > 0 and other > 0 and hyp > 0 and leg * leg + other * other == hyp * hyp):
-        sides = ", ".join(map(number_str, (leg, other, hyp)))
-        raise ValueError(f"({sides}) is not a Pythagorean triple")
-    return _closed_roots(other, hyp)
-
-
 def evaluate(q: QuadPoly, x) -> Fraction:
     """Exact value of q at a rational point, an int or a Fraction.
 

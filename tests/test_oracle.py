@@ -125,6 +125,19 @@ def test_theorem3_builds_each_member_once(monkeypatch):
     assert calls == [triple_from_window(fib_window(i)) for i in range(1, n + 1)]
 
 
+def test_roots_builds_each_member_once(monkeypatch):
+    # the roots claim solves the members one families.members call builds
+    # per window triple, and builds no quadratic of its own
+    calls, built = [], []
+    members, build = families.members, quadratic.build_quadratic
+    monkeypatch.setattr(families, "members", lambda t: calls.append(t) or members(t))
+    monkeypatch.setattr(quadratic, "build_quadratic", lambda *args: built.append(args) or build(*args))
+    n = 37
+    assert run_claim("roots", SweepConfig(roots_max=n)).passed
+    assert calls == [triple_from_window(fib_window(i)) for i in range(1, n + 1)]
+    assert built == []
+
+
 def test_theorem3_derives_each_window_once_per_member(monkeypatch):
     # the sweep seeds its windows with one fast-doubling pass and builds one
     # triple per window
@@ -143,7 +156,13 @@ def _wrong_at(match, wrong):
     return lambda real: lambda *args: wrong(real(*args), *args) if match(*args) else real(*args)
 
 
+def _swapped(rp, *args):
+    """Root pair rp with its two roots exchanged."""
+    return RootPair(rp.x2, rp.x1, rp.kind)
+
+
 HYP_3, HYP_6 = (triple_from_window(fib_window(i)).hyp for i in (3, 6))
+F3_16 = families.build_f(3).poly  # window 3's member seeded with its leg 16
 N5_TRIPLE, N5_MEMBERS = families.family_345(5)
 N5_345 = {member.poly for member in N5_MEMBERS}
 
@@ -160,13 +179,19 @@ ROUTINE_FAULTS = {
     "scaling/scale": (
         oracle, "scale", {"triple": ["3", "4", "5"], "k": "3", "problem": "sides not scaled componentwise"},
         _wrong_at(lambda t, k: k == 3, lambda s, t, k: t)),
-    "roots/roots_via_triple": (
-        oracle, "roots_via_triple", {"i": "3", "leg": "16", "problem": "solver disagrees with -hyp +/- other"},
-        _wrong_at(lambda leg, other, hyp: hyp == HYP_3, lambda rp, *sides: RootPair(rp.x2, rp.x1, rp.kind))),
+    "roots/_closed_roots": (
+        quadratic, "_closed_roots", {"i": "3", "leg": "16", "problem": "solver disagrees with -hyp +/- other"},
+        _wrong_at(lambda other, hyp: hyp == HYP_3, _swapped)),
+    "roots/solve_quadratic": (
+        oracle, "solve_quadratic", {"i": "3", "leg": "16", "problem": "solver disagrees with -hyp +/- other"},
+        _wrong_at(lambda q: q == F3_16, _swapped)),
     "family345/family_345_integral_abs": (
         families, "family_345_integral_abs",
         {"n": "5", "flavor": "f", "problem": "|integral| off closed form", "value": "331776"},
         _wrong_at(lambda n, flavor: n == 5, lambda v, n, flavor: v + 1)),
+    "family345/_closed_roots": (
+        quadratic, "_closed_roots", {"n": "5", "flavor": "f", "problem": "roots off closed form"},
+        _wrong_at(lambda other, hyp: hyp == N5_TRIPLE.hyp, _swapped)),
     "family345/members": (
         families, "members", {"n": "5", "flavor": "f", "problem": "roots off closed form"},
         lambda real: lambda t: real(Triple(t.leg_b, t.leg_a, t.hyp) if t == N5_TRIPLE else t)),
@@ -324,13 +349,12 @@ def _serial_and_split(monkeypatch, forked, claim, config):
     ("roots", SweepConfig(roots_max=SPLIT_MAX), (7, 12)),
 ], ids=["theorem3-clean", "roots-clean", "theorem3-fault-odd", "theorem3-fault-even", "roots-broken-odd-even"])
 def test_split_sweep_reports_as_one_process(monkeypatch, split, claim, config, broken):
-    # roots_via_triple is wrong for both legs of each broken window, one
+    # the closed roots are wrong for both members of each broken window, one
     # odd and one even, so both ranks' shares hold records for both legs
     triples = [(i, triple_from_window(fib_window(i))) for i in broken]
     hyps = {t.hyp for _, t in triples}
-    monkeypatch.setattr(oracle, "roots_via_triple", _wrong_at(
-        lambda leg, other, hyp: hyp in hyps, lambda rp, *sides: RootPair(rp.x2, rp.x1, rp.kind))(
-        oracle.roots_via_triple))
+    monkeypatch.setattr(quadratic, "_closed_roots", _wrong_at(lambda other, hyp: hyp in hyps, _swapped)(
+        quadratic._closed_roots))
     one, two = _serial_and_split(monkeypatch, split, claim, config)
     assert two == one
     expected = 2 if config.fault else 2 * len(broken)

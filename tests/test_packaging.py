@@ -110,6 +110,18 @@ def test_only_quadratic_builds_polynomials_and_roots():
     assert built == {"cli.cmd_quad: QuadPoly"}
 
 
+def test_every_claim_reads_the_members_families_builds():
+    # the claims take each polynomial and its closed roots from
+    # families.members, or family_345, which calls it, so oracle.py calls
+    # neither build_quadratic nor the two formulas members reads
+    tree = ast.parse(PACKAGE.joinpath("oracle.py").read_text(encoding="utf-8"))
+    called = [(node.lineno, getattr(node.func, "id", getattr(node.func, "attr", None)))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert {"members", "family_345"} <= {name for _, name in called}
+    assert [f"oracle.py:{line} {name}" for line, name in called
+            if name in ("build_quadratic", "_leg_poly", "_closed_roots")] == []
+
+
 def test_only_the_verification_report_renders_itself():
     # the library returns raw values and numeric.wire renders every JSON
     # payload; VerificationReport.to_dict stays because verify and the

@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 
 from fibquad import quadratic
 from fibquad.cli import main
+from fibquad.families import members
+from fibquad.fibonacci import windows
 from fibquad.oracle import _simpson6, simpson_exact
 from fibquad.quadratic import (
     DOUBLE,
@@ -26,10 +28,10 @@ from fibquad.quadratic import (
     evaluate,
     integral_breakdown,
     integrate,
-    roots_via_triple,
     solve_quadratic,
     vertex,
 )
+from fibquad.triples import Triple, scale, triple_from_window
 
 
 def euclid_triple(rng, hyp_cap=10**6):
@@ -60,6 +62,15 @@ def test_build_quadratic_examples():
 def test_build_quadratic_mirror_roots():
     mirrored = solve_quadratic(build_quadratic(3, 5, NEGATIVE))
     assert (mirrored.x1, mirrored.x2) == (1, 9)
+
+
+def test_build_quadratic_is_the_member_polynomial():
+    # quad build and plot read build_quadratic, the claims families.members:
+    # on each leg of a triple both give one polynomial
+    for w in windows(1, 200):
+        for t in (triple_from_window(w), scale(triple_from_window(w), 3)):
+            f, g = members(t)
+            assert (build_quadratic(t.leg_a, t.hyp), build_quadratic(t.leg_b, t.hyp)) == (f.poly, g.poly)
 
 
 def test_build_quadratic_errors():
@@ -101,25 +112,24 @@ def test_solved_roots_evaluate_to_zero():
         assert evaluate(q, rp.x2) == 0
 
 
-def test_roots_via_triple_examples():
-    assert (roots_via_triple(3, 4, 5).x1, roots_via_triple(3, 4, 5).x2) == (-1, -9)
-    assert (roots_via_triple(4, 3, 5).x1, roots_via_triple(4, 3, 5).x2) == (-2, -8)
-    assert (roots_via_triple(6, 8, 10).x1, roots_via_triple(6, 8, 10).x2) == (-2, -18)
+def test_member_closed_roots_examples():
+    def closed(leg, other, hyp):  # of the member seeded with leg
+        rp = members(Triple(leg, other, hyp))[0].closed_roots
+        return rp.x1, rp.x2
 
-
-def test_roots_via_triple_rejects_non_pythagorean():
-    with pytest.raises(ValueError):
-        roots_via_triple(3, 4, 6)
+    assert closed(3, 4, 5) == (-1, -9)
+    assert closed(4, 3, 5) == (-2, -8)
+    assert closed(6, 8, 10) == (-2, -18)
 
 
 def test_root_identity_random_triples():
     rng = random.Random(2024)
     for _ in range(300):
         a, b, hyp = euclid_triple(rng)
-        for leg, other in ((a, b), (b, a)):
+        for (leg, other), member in zip(((a, b), (b, a)), members(Triple(a, b, hyp))):
             q = build_quadratic(leg, hyp, POSITIVE)
             solved = solve_quadratic(q)
-            via = roots_via_triple(leg, other, hyp)
+            via = member.closed_roots
             assert solved.kind == TWO_DISTINCT
             assert (solved.x1, solved.x2) == (via.x1, via.x2) == (-hyp + other, -hyp - other)
             assert solved.x1.denominator == 1 and solved.x2.denominator == 1
