@@ -27,13 +27,13 @@ window that _share runs on the windows of fibonacci.windows:
   1..min(mod3_max, WITNESS_MAX) finds exactly one term divisible by 3 in
   each, at the position mod3_witness derives from the index alone.
 - theorem3: one pass over the windows, whose f and g members
-  families.members builds once from the window's triple; per member the
-  solver against the closed roots, integrality of the root-to-root
-  integral and of its parts P1, P2, P3, Simpson against that same
-  integral and substitution of both closed roots. Every check runs in plain integers
-  on the library's own kernels (the solver's discriminant root,
-  _antiderivative6, _breakdown6 and _simpson6), and a Fraction is built
-  only to report a counterexample.
+  families.members builds once from the window's triple; _member_problems
+  checks each member, of a window or of any other triple, against its
+  closed roots: the solver, integrality of the root-to-root integral and
+  of its parts P1, P2, P3, Simpson against that same integral and
+  substitution of both closed roots, all in plain integers on the
+  library's own kernels (the solver's discriminant root, _antiderivative6,
+  _breakdown6 and _simpson6).
 
 A claim returns only its scope and its counterexamples, as records of raw
 ints, Fractions, tuples and text; run_claim looks it up in the CLAIMS
@@ -61,7 +61,7 @@ import math
 import os
 import time
 from fractions import Fraction
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import families, quadratic
 from .fibonacci import fib_mod, mod3_witness, windows
@@ -436,52 +436,50 @@ def _roots_record(rp: RootPair) -> Dict[str, Any]:
     return {"kind": rp.kind, "x1": rp.x1, "x2": rp.x2}
 
 
+def _member_problems(poly: QuadPoly, closed: RootPair) -> Iterator[Dict[str, Any]]:
+    """The theorem3 problems of one member polynomial against its integer
+    closed roots x1 = -hyp + other > x2 = -hyp - other, in plain ints on
+    the kernels quadratic holds at call time, scaled by 6 where a value
+    may be a third or a half: the discriminant root r against
+    2a*x = -b +/- r, 6*I from _antiderivative6, its parts from _breakdown6
+    summing to it and each divisible by 6, Simpson's 6*S from its own
+    kernel against 6*I, and substitution of both closed roots. A Fraction
+    is built only to report a counterexample.
+    """
+    a, b, c = poly
+    x1, x2 = closed.x1.numerator, closed.x2.numerator
+    total6 = quadratic._antiderivative6(poly, x1, 1) - quadratic._antiderivative6(poly, x2, 1)
+    r = quadratic._discriminant_root(poly)
+    if not r or -b + r != 2 * a * x1 or -b - r != 2 * a * x2:  # r None: no rational root, 0: double
+        yield {"problem": "solver roots differ from closed form", "closed": _roots_record(closed),
+               "solved": _roots_record(solve_quadratic(poly))}
+    elif sum(parts6 := quadratic._breakdown6(poly, x2, x1, 1)) != total6:
+        yield {"problem": "breakdown does not sum to integral"}
+    else:
+        for name, value6 in zip(("P1", "P2", "P3", "integral"), (*parts6, total6)):
+            if value6 % 6:
+                yield {"problem": f"{name} is not an integer", "value": Fraction(value6, 6)}
+                break
+    if _simpson6(poly, x2, x1, 1) != total6:
+        yield {"problem": "Simpson disagrees with antiderivative"}
+    if (a * x1 + b) * x1 + c or (a * x2 + b) * x2 + c:
+        yield {"problem": "closed-form roots fail direct evaluation"}
+
+
 def claim_theorem3(config: SweepConfig) -> Found:
     """Integer-integral sweep with the independent oracles in the same
     pass: families.members builds both members of each window
     1..theorem3_max once, from the window's one triple, flavor f then g,
-    the configured fault, if any, is applied, and every check reads that
-    one polynomial.
-
-    The closed roots x1 = -hyp + other > x2 = -hyp - other are integers,
-    so each check runs in plain ints on the library's own kernels, scaled
-    by 6 where a value may be a third or a half: the discriminant root r
-    against 2a*x = -b +/- r, the integral 6*I from _antiderivative6, its
-    parts from _breakdown6 summing to it and each divisible by 6,
-    Simpson's 6*S from its own kernel against 6*I, and substitution
-    (a*x + b)*x + c == 0 of both closed roots. A Fraction is built only
-    to report a counterexample.
+    the configured fault, if any, is applied, and _member_problems checks
+    that one polynomial against the member's closed roots, each record it
+    yields led by the member's flavor.
     """
     fault = config.fault
-    # Read at call time, so that a kernel swapped on its module is the one checked.
-    disc_root, antiderivative6, breakdown6 = (
-        quadratic._discriminant_root, quadratic._antiderivative6, quadratic._breakdown6)
 
     def check(i, w):
-        for member in families.members(triple_from_window(w)):
-            flavor, closed = member.flavor, member.closed_roots
-            poly = member.poly if fault is None else fault.apply(i, flavor, member.poly)
-            a, b, c = poly.a, poly.b, poly.c
-            x1, x2 = closed.x1.numerator, closed.x2.numerator
-            total6 = antiderivative6(poly, x1, 1) - antiderivative6(poly, x2, 1)
-            problems = []
-            r = disc_root(poly)
-            if not r or -b + r != 2 * a * x1 or -b - r != 2 * a * x2:  # r None: no rational root, 0: double
-                problems.append({"problem": "solver roots differ from closed form", "closed": _roots_record(closed),
-                                 "solved": _roots_record(solve_quadratic(poly))})
-            elif sum(parts6 := breakdown6(poly, x2, x1, 1)) != total6:
-                problems.append({"problem": "breakdown does not sum to integral"})
-            else:
-                for name, value6 in zip(("P1", "P2", "P3", "integral"), (*parts6, total6)):
-                    if value6 % 6:
-                        problems.append({"problem": f"{name} is not an integer",
-                                         "value": Fraction(value6, 6)})
-                        break
-            if _simpson6(poly, x2, x1, 1) != total6:
-                problems.append({"problem": "Simpson disagrees with antiderivative"})
-            if (a * x1 + b) * x1 + c or (a * x2 + b) * x2 + c:
-                problems.append({"problem": "closed-form roots fail direct evaluation"})
-            yield from ({"flavor": flavor, **problem} for problem in problems)
+        for flavor, poly, closed in families.members(triple_from_window(w)):
+            poly = poly if fault is None else fault.apply(i, flavor, poly)
+            yield from ({"flavor": flavor, **problem} for problem in _member_problems(poly, closed))
     return f"windows 1..{config.theorem3_max}, flavors f and g", _in_shares(check, config.theorem3_max)
 
 

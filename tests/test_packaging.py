@@ -52,17 +52,31 @@ def _oracle_functions():
 def test_claims_leave_number_rendering_to_run_claim():
     # a claim returns raw values and run_claim alone puts them in wire
     # form, so no claim_* function in oracle.py, nor a window check nested
-    # in one, nor _share, which runs the checks, may read number_str or
-    # any to_dict, which would hand it text already rendered
+    # in one, nor _share, which runs the checks, nor _member_problems, which
+    # checks a theorem3 member, may read number_str or any to_dict, which
+    # would hand it text already rendered
     functions = _oracle_functions()
     claims = [functions[name] for name in ("claim_window_triples", "claim_scaling", "claim_roots",
-                                           "claim_family345", "claim_mod3", "claim_theorem3", "_share")
+                                           "claim_family345", "claim_mod3", "claim_theorem3", "_share",
+                                           "_member_problems")
               if name in functions]
     reads = [f"{claim.name}:{node.lineno}" for claim in claims for node in ast.walk(claim)
              if (isinstance(node, ast.Name) and node.id == "number_str")
              or (isinstance(node, ast.Attribute) and node.attr == "to_dict")]
-    assert len(claims) == 7
+    assert len(claims) == 8
     assert reads == []
+
+
+def test_one_function_checks_a_theorem3_member():
+    # _member_problems holds every per-member theorem3 check, so it alone
+    # reads the integral and discriminant kernels, and claim_theorem3 keeps
+    # only the window work: members, the fault and the flavor label
+    kernels = ("_discriminant_root", "_antiderivative6", "_breakdown6")
+    readers = {name: sorted({getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(function)}
+                            & set(kernels))
+               for name, function in _oracle_functions().items()}
+    assert {name: read for name, read in readers.items() if read} == {"_member_problems": sorted(kernels)}
+    assert readers["claim_theorem3"] == []
 
 
 def test_one_function_walks_and_splits_the_windows():
