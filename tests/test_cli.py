@@ -482,6 +482,19 @@ def test_import_loads_no_dataclasses_or_inspect():
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("module", ["fibonacci", "quadratic"])
+def test_import_loads_only_the_modules_it_reads(module):
+    """The package root re-exports nothing, so importing one module loads
+    only the root, that module and numeric, which both read."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    check = (f"import sys; sys.path.insert(0, sys.argv[1]); import fibquad.{module}; "
+             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'fibquad'))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", check, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{sorted(['fibquad', f'fibquad.{module}', 'fibquad.numeric'])}\n"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_lazy_format_from_a_fresh_interpreter_is_byte_exact(fmt):
     """csv and json are imported only when a command prints them, so a cold

@@ -161,6 +161,17 @@ def _swapped(rp, *args):
     return RootPair(rp.x2, rp.x1, rp.kind)
 
 
+def _shifted(rp, *args):
+    """Root pair rp with both roots moved by 1/2, off the integers."""
+    return RootPair(rp.x1 + Fraction(1, 2), rp.x2 + Fraction(1, 2), rp.kind)
+
+
+def _replacing(old, new):
+    """Wrapper factory for windows: the real iterator, except that window
+    old comes out as new."""
+    return lambda real: lambda lo, hi: (new if w == old else w for w in real(lo, hi))
+
+
 HYP_3, HYP_6 = (triple_from_window(fib_window(i)).hyp for i in (3, 6))
 F3_16 = families.build_f(3).poly  # window 3's member seeded with its leg 16
 N5_TRIPLE, N5_MEMBERS = families.family_345(5)
@@ -173,12 +184,18 @@ ROUTINE_FAULTS = {
     "window-triples/triple_from_window": (
         oracle, "triple_from_window", {"i": "7", "problem": "construction disagrees with direct products"},
         _wrong_at(lambda w: w == fib_window(7), lambda t, w: Triple(t.leg_b, t.leg_a, t.hyp))),
+    "window-triples/windows": (
+        oracle, "windows", {"i": "4", "problem": "alpha^2 + beta^2 != gamma^2"},
+        _replacing((3, 5, 8, 13), (3, 5, 8, 14))),
     "window-triples/primitivity": (
         oracle, "primitivity", {"i": "6", "problem": "side gcd off the parity law"},
         _wrong_at(lambda t: t.hyp == HYP_6, lambda r, t: (True, 1))),
     "scaling/scale": (
         oracle, "scale", {"triple": ["3", "4", "5"], "k": "3", "problem": "sides not scaled componentwise"},
         _wrong_at(lambda t, k: k == 3, lambda s, t, k: t)),
+    "scaling/primitivity": (
+        oracle, "primitivity", {"triple": ["3", "4", "5"], "k": "3", "problem": "gcd did not scale by k"},
+        _wrong_at(lambda t: t == (9, 12, 15), lambda r, t: (r[0], r[1] + 1))),
     "roots/_closed_roots": (
         quadratic, "_closed_roots", {"i": "3", "leg": "16", "problem": "solver disagrees with -hyp +/- other"},
         _wrong_at(lambda other, hyp: hyp == HYP_3, _swapped)),
@@ -198,12 +215,18 @@ ROUTINE_FAULTS = {
     "family345/vertex": (
         oracle, "vertex", {"n": "5", "flavor": "f", "problem": "vertex value off closed form"},
         _wrong_at(lambda q: q in N5_345, lambda v, q: (v[0], v[1] + 1))),
+    "family345/vertex-x": (
+        oracle, "vertex", {"n": "5", "flavor": "f", "problem": "derivative root off -5(n+1)"},
+        _wrong_at(lambda q: q in N5_345, lambda v, q: (v[0] + 1, v[1]))),
     "mod3/mod3_witness": (
         oracle, "mod3_witness", {"i": "9", "problem": "witness position disagrees with scan"},
         _wrong_at(lambda i: i == 9, lambda pos, i: (pos + 1) % 4)),
     "mod3/windows": (
         oracle, "windows", {"i": "9", "problem": "witness position disagrees with scan"},
-        lambda real: lambda lo, hi: (fib_window(10) if w == fib_window(9) else w for w in real(lo, hi))),
+        _replacing(fib_window(9), fib_window(10))),
+    "mod3/windows-terms": (
+        oracle, "windows", {"i": "9", "problem": "2 terms divisible by 3"},
+        _replacing((34, 55, 89, 144), (34, 57, 89, 144))),
     "mod3/fib_mod": (
         oracle, "fib_mod", {"n": "7", "index": "28", "problem": "fib_mod disagrees with the linear sweep"},
         _wrong_at(lambda n, m: n == 28, lambda r, n, m: (r + 1) % m)),
@@ -217,6 +240,17 @@ def test_every_claim_fails_on_a_wrong_routine(monkeypatch, case):
     report = run_claim(case.split("/")[0], FAST)
     assert report.status == "fail"
     assert list(report.counterexamples[0].items()) == list(first.items())
+
+
+def test_roots_fails_on_solver_roots_that_are_not_integers(monkeypatch):
+    # the solver must agree with the closed roots first, so only two faults
+    # moving both off the integers together reach the integrality check
+    monkeypatch.setattr(quadratic, "_closed_roots",
+                        _wrong_at(lambda other, hyp: hyp == HYP_3, _shifted)(quadratic._closed_roots))
+    monkeypatch.setattr(oracle, "solve_quadratic", _wrong_at(lambda q: q == F3_16, _shifted)(oracle.solve_quadratic))
+    report = run_claim("roots", FAST)
+    assert report.status == "fail"
+    assert list(report.counterexamples[0].items()) == [("i", "3"), ("leg", "16"), ("problem", "roots are not integers")]
 
 
 G7 = families.build_g(7)

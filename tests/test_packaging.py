@@ -25,12 +25,9 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_modules_use_every_name_they_import():
-    # __init__.py imports to export; every other module imports only the
-    # names it reads
+    # every module, __init__.py too, imports only the names it reads
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {}
         for node in ast.walk(tree):
@@ -40,6 +37,21 @@ def test_modules_use_every_name_they_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_each_public_name_has_one_import_path():
+    # the package root imports nothing, so a name is reached only through
+    # the module that defines it and importing one module loads only what
+    # it reads; `from . import X` inside the package names a submodule,
+    # never a name the root would have to re-export
+    root = ast.parse(PACKAGE.joinpath("__init__.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(root) if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+    submodules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    not_modules = [f"{path.name}:{node.lineno} {alias.name}" for path in sorted(PACKAGE.glob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+                   for alias in node.names if alias.name not in submodules]
+    assert not_modules == []
 
 
 def _oracle_functions():
