@@ -267,44 +267,39 @@ def _in_shares(check: Check, n: int) -> Records:
     fork slowed a one-shot window-triples sweep at 1000 to 6000 windows.
 
     Ranks 1..size-1 run in forked children, rank 0 in the caller. Each
-    child pickles its records, or the exception it raised, into a pipe;
-    the caller raises a child's exception again. Every child is reaped
-    before this returns or raises, and killed first when the caller's
-    own share or a child failed.
+    child pickles its records, or the exception the caller raises again,
+    into a pipe owned before the fork. One finally, on every path, closes
+    every pipe and reaps every child, killing it first if a share is missing.
     """
     size = _processes(n)
     if size == 1:
         return _share(check, n)
     import pickle
     import signal
-    children, done = [], False
+    pipes, pids, shares = [], [], []
     try:
         for rank in range(1, size):
             read, write = os.pipe()
-            try:
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as pipe:
                 pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                try:
+                if pid == 0:
                     try:
-                        outcome = _share(check, n, rank, size)
-                    except BaseException as exc:
-                        outcome = exc
-                    try:
-                        data = pickle.dumps(outcome)
-                    except Exception:  # an exception whose type or arguments do not pickle
-                        data = pickle.dumps(RuntimeError(f"{type(outcome).__name__}: {outcome}"))
-                    with open(write, "wb") as pipe:
+                        try:
+                            outcome = _share(check, n, rank, size)
+                        except BaseException as exc:
+                            outcome = exc
+                        try:
+                            data = pickle.dumps(outcome)
+                        except Exception:  # an exception whose type or arguments do not pickle
+                            data = pickle.dumps(RuntimeError(f"{type(outcome).__name__}: {outcome}"))
                         pipe.write(data)
-                finally:
-                    os._exit(0)
-            os.close(write)
-            children.append((pid, open(read, "rb")))
-        shares = [_share(check, n, 0, size)]
-        for rank, (pid, pipe) in enumerate(children, 1):
+                        pipe.flush()
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+        shares.append(_share(check, n, 0, size))
+        for rank, pipe in enumerate(pipes, 1):
             data = pipe.read()
             if not data:
                 raise RuntimeError(f"sweep process {rank} of {size} ended without a result")
@@ -312,11 +307,11 @@ def _in_shares(check: Check, n: int) -> Records:
             if isinstance(outcome, BaseException):
                 raise outcome
             shares.append(outcome)
-        done = True
     finally:
-        for pid, pipe in children:
+        for pipe in pipes:
             pipe.close()
-            if not done:
+        for pid in pids:
+            if len(shares) < size:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     # Every record of one window comes from one share, in its order, so a

@@ -445,6 +445,55 @@ def test_exception_in_the_caller_kills_and_reaps_the_child(monkeypatch, split):
     assert len(split) == 1
 
 
+def _open_fds():
+    """The descriptors this process holds open; None where /proc/self/fd is missing."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def _assert_nothing_left(fds):
+    """No child is left to reap, and the descriptors open are fds again."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_fork_that_fails_reaps_every_child_and_closes_every_pipe(monkeypatch, split, failing_call):
+    # three CPUs, so a sweep forks twice; whether the first or the second
+    # fork fails, its error reaches the caller with no child or pipe left
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or (
+        _throw(OSError("fork refused")) if len(calls) == failing_call else fork()))
+    fds = _open_fds()
+    with pytest.raises(OSError, match="^fork refused$"):
+        run_claim("theorem3", SweepConfig(theorem3_max=SPLIT_MAX))
+    assert (len(calls), len(split)) == (failing_call, failing_call - 1)
+    _assert_nothing_left(fds)
+
+
+def test_exception_in_the_caller_kills_a_child_blocked_on_a_full_pipe(monkeypatch, split):
+    # the child's pickle holds a 1 MiB record, far more than a pipe buffers,
+    # so it blocks writing until the caller reads, which it never does: its
+    # own share raises once the child has had time to fill the pipe
+    caller, share = os.getpid(), oracle._share
+
+    def blocked(check, n, rank=0, size=1):
+        if os.getpid() == caller:
+            time.sleep(0.3)
+            raise KeyError("rank 0")
+        return share(check, n, rank, size) + [{"i": rank, "pad": "x" * (1 << 20)}]
+
+    monkeypatch.setattr(oracle, "_share", blocked)
+    fds = _open_fds()
+    start = time.monotonic()
+    with pytest.raises(KeyError, match="rank 0"):
+        run_claim("theorem3", SweepConfig(theorem3_max=SPLIT_MAX))
+    assert time.monotonic() - start < 15
+    assert len(split) == 1
+    _assert_nothing_left(fds)
+
+
 class _Unpicklable(Exception):
     def __reduce__(self):
         raise TypeError("no pickling")

@@ -197,7 +197,10 @@ def _is_call(node, module, name):
 def test_a_forked_child_never_returns_into_its_caller():
     # os.fork is called in one function only, and the branch the child
     # takes is a single try whose finally ends in os._exit, so no child can
-    # return into the code that called the sweep (a test run, the bench)
+    # return into the code that called the sweep (a test run, the bench).
+    # The fork runs inside a with that owns the pipe's write end, and no
+    # except handler closes descriptors, so a failed fork leaves its
+    # cleanup to the with and the one finally
     forking = []
     for path in sorted(PACKAGE.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -217,6 +220,16 @@ def test_a_forked_child_never_returns_into_its_caller():
     [body] = child[0].body
     assert isinstance(body, ast.Try) and body.finalbody
     assert isinstance(body.finalbody[-1], ast.Expr) and _is_call(body.finalbody[-1].value, "os", "_exit")
+    [write] = [node.targets[0].elts[1].id for node in ast.walk(func) if isinstance(node, ast.Assign)
+               and _is_call(node.value, "os", "pipe")]
+    owning = [node for node in ast.walk(func) if isinstance(node, ast.With) and any(
+        isinstance(call := item.context_expr, ast.Call) and getattr(call.func, "id", None) == "open"
+        and [getattr(arg, "id", None) for arg in call.args[:1]] == [write] for item in node.items)]
+    assert [fork in ast.walk(node) for node in owning] == [True]
+    closing = [node for handler in ast.walk(func) if isinstance(handler, ast.ExceptHandler)
+               for node in ast.walk(handler) if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) in ("close", "closerange")]
+    assert closing == []
 
 
 def _stream_of(node):
