@@ -6,13 +6,13 @@ Exit codes: 0 success (all claims pass), 1 verification counterexample,
 (an unexpected exception). Every subcommand takes --format json|csv|table
 and prints through one emitter, _emit, the only code that writes to
 stdout. csv and json print each row as it is made, so a range command
-(triples, family) holds one row, or one batch of JSON rows, at a time, and
-a closed pipe stops the work as well as the output. Rows printed before
-a closed pipe or a later error stay printed; every check of the
-arguments runs before the first row. Numbers of any length are emitted
-and accepted as exact decimal strings, rationals as "num/den". json and
-csv are imported only when a command prints JSON or CSV, so importing the
-module loads neither.
+(triples, family) holds one row at a time, and a closed pipe stops the
+work as well as the output. Rows printed before a closed pipe or a later
+error stay printed; every check of the arguments runs before the first
+row. Numbers of any length are emitted and accepted as exact decimal
+strings, rationals as "num/den". _json_text and _csv_line print the bytes
+of the json and csv writers: csv is never imported, and json only for its
+string escaper, when a command prints JSON.
 
 main(argv) may be called any number of times in one process: it returns the
 exit code, and it builds its parser on the first call and reuses it after.
@@ -23,7 +23,6 @@ import argparse
 import functools
 import os
 import sys
-from itertools import islice
 from typing import Callable, Iterable, List, Optional
 
 from . import families, oracle
@@ -44,12 +43,6 @@ TRIPLE_COLUMNS = ["leg_a", "leg_b", "hyp", "gcd", "primitive"]
 
 ANALYSIS_COLUMNS = ["a", "b", "c", "kind", "x1", "x2", "vertex_x", "vertex_y", "discriminant",
                     "integral_signed", "integral_abs", "p1", "p2", "p3"]
-
-# Items per json.dumps call when a JSON array prints. One call per item
-# would rebuild the encoder for every item, which costs more than the
-# encoding of a small row; a batch costs what one call on the whole list
-# does and holds only its own items.
-JSON_BATCH = 256
 
 
 def _integer(text: str) -> int:
@@ -103,38 +96,87 @@ def _analysis_json(row: list) -> dict:
             "integral_abs": absolute, "breakdown": None if p1 is None else {"p1": p1, "p2": p2, "p3": p3}}
 
 
+def _json_text(value, depth: int = 0) -> str:
+    """value as the json module's dumps(value, indent=2) prints it, nested
+    depth levels deep (an array item is at depth 1). value holds what
+    numeric.wire returns, str, bool, None, lists and dicts with str keys,
+    and finite floats, printed as their repr; any other type raises
+    TypeError. Strings go through the C escaper dumps uses; with indent
+    set, dumps encodes the rest in pure Python, at about twice this cost."""
+    from json.encoder import encode_basestring_ascii as quote
+    parts = []
+    add = parts.append
+
+    def put(value, pad):
+        kind = type(value)
+        if kind is str:
+            add(quote(value))
+        elif kind is dict:
+            inner = pad + "  "
+            sep, comma = "{" + inner, "," + inner
+            for key, item in value.items():
+                if type(item) is str:  # most values: one append, no call
+                    add(sep + quote(key) + ": " + quote(item))
+                else:
+                    add(sep + quote(key) + ": ")
+                    put(item, inner)
+                sep = comma
+            add(pad + "}" if value else "{}")
+        elif kind is list:
+            inner = pad + "  "
+            sep, comma = "[" + inner, "," + inner
+            for item in value:
+                add(sep)
+                put(item, inner)
+                sep = comma
+            add(pad + "]" if value else "[]")
+        elif kind is float:
+            add(repr(value))
+        elif value is None or kind is bool:
+            add("null" if value is None else "true" if value else "false")
+        else:
+            raise TypeError(f"{kind.__name__} has no JSON text")
+
+    put(value, "\n" + "  " * depth)
+    return "".join(parts)
+
+
+def _csv_line(cells: List[str]) -> str:
+    """cells, two or more, as one csv.writer(lineterminator="\n") line: a
+    cell holding a comma, a quote or a newline is quoted, its quotes
+    doubled; as in Python 3.11, a carriage return alone does not quote it."""
+    return ",".join(['"' + cell.replace('"', '""') + '"' if "," in cell or '"' in cell or "\n" in cell
+                     else cell for cell in cells]) + "\n"
+
+
 def _emit(fmt: str, header: List[str], rows: Iterable[list], payload: Callable[[], object],
           table: Optional[Callable[[], str]] = None) -> None:
     """Print one command's result in fmt, building only what fmt prints.
 
     json prints payload(), which a command builds from its raw rows
-    through numeric.wire, the one renderer of every JSON payload: a dict
-    prints whole with json.dumps(indent=2); any other iterable is an array
-    whose items print in batches of JSON_BATCH, each a json.dumps(indent=2)
-    with its brackets cut off, joined by commas, which gives the bytes of
-    json.dumps(list(items), indent=2). csv prints header, then each of rows
-    as it comes, through one csv.writer. table prints table() for a command
-    with its own layout, else header and rows as left-aligned columns,
-    which holds every row, since the widths come first. rows and the items
-    of payload() are iterated once and may share one iterator. json and
-    csv are imported only in their branch.
+    through numeric.wire, the one renderer of every JSON payload, as
+    _json_text writes it: a dict whole, any other iterable as an array
+    whose items print one write each, at depth 1. csv prints header, then
+    each of rows as it comes, one _csv_line each. table prints table() for
+    a command with its own layout, else header and rows as left-aligned
+    columns, which holds every row, since the widths come first. rows and
+    the items of payload() are iterated once and may share one iterator.
     """
+    write = sys.stdout.write
     if fmt == "json":
-        import json
         data = payload()
         if isinstance(data, dict):
-            print(json.dumps(data, indent=2))
+            write(_json_text(data) + "\n")
             return
-        items, write, sep = iter(data), sys.stdout.write, "["
-        while batch := list(islice(items, JSON_BATCH)):
-            write(sep + json.dumps(batch, indent=2)[1:-2])
+        sep = "["
+        for item in data:
+            write(sep + "\n  " + _json_text(item, 1))
             sep = ","
         write("[]\n" if sep == "[" else "\n]\n")
     elif fmt == "csv":
-        import csv
-        out = csv.writer(sys.stdout, lineterminator="\n")
-        out.writerow(header)
-        out.writerows([_cell(v) for v in row] for row in rows)
+        write(_csv_line(header))
+        for row in rows:
+            write(_csv_line([_cell(v) for v in row]))
     elif table is not None:
         print(table())
     else:
@@ -206,8 +248,7 @@ def cmd_verify(args) -> int:
     def table():
         lines = [f"{r.status.upper():4}  {r.claim_id:10} ({r.range})  [{r.elapsed:.3f}s]" for r in reports]
         if failed:
-            import json
-            lines.append(json.dumps([r.to_dict() for r in failed], indent=2))
+            lines.append(_json_text([r.to_dict() for r in failed]))
         return "\n".join(lines)
 
     _emit(args.format, ["claim", "range", "status", "counterexamples", "elapsed"],

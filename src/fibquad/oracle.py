@@ -285,6 +285,8 @@ def _in_shares(check: Check, n: int) -> Records:
                 pid = os.fork()
                 if pid == 0:
                     try:
+                        for reader in pipes:  # the caller holds these alone, so a write fails once it is gone
+                            reader.close()
                         try:
                             outcome = _share(check, n, rank, size)
                         except BaseException as exc:

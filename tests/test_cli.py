@@ -14,6 +14,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fibquad import cli, families, svgplot
 from fibquad.cli import FORMATS, main
@@ -497,13 +498,16 @@ def test_import_loads_only_the_modules_it_reads(module):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_lazy_format_from_a_fresh_interpreter_is_byte_exact(fmt):
-    """csv and json are imported only when a command prints them, so a cold
-    run must load them then and still print the golden bytes."""
+    """json is imported only when a command prints JSON, for its string
+    escaper, and csv never, so a cold run must print the golden bytes and
+    leave csv unloaded, and json too unless it printed JSON."""
     argv = f"triples --from 1 --to 5 --format {fmt}"
     src = str(Path(cli.__file__).resolve().parent.parent)
-    run = "import sys; sys.path.insert(0, sys.argv[1]); from fibquad.cli import main; sys.exit(main(sys.argv[2:]))"
+    run = ("import sys; sys.path.insert(0, sys.argv[1]); from fibquad.cli import main; code = main(sys.argv[2:]); "
+           "print(sorted({'csv', 'json'} & set(sys.modules)), file=sys.stderr); sys.exit(code)")
     proc = subprocess.run([sys.executable, "-I", "-c", run, src, *argv.split()], capture_output=True, timeout=120)
-    assert (proc.returncode, proc.stderr) == (0, b"")
+    loaded = [] if fmt == "csv" else ["json"]
+    assert (proc.returncode, proc.stderr.decode()) == (0, f"{loaded}\n")
     assert proc.stdout.decode() == GOLDEN[argv]["stdout"]
 
 
@@ -695,8 +699,9 @@ def test_range_argument_error_names_huge_operands(capsys, argv):
 
 # --- rows stream to stdout ----------------------------------------------------
 
-B = cli.JSON_BATCH
-EDGE_COUNTS = [1, B - 1, B, B + 1, 2 * B + 1]  # a JSON array prints in batches of B rows
+# One row, and counts on each side of 256 and past 512, the batch edges of
+# an earlier JSON writer; each array item now prints in a write of its own.
+EDGE_COUNTS = [1, 255, 256, 257, 513]
 
 
 def triples_reference(count):
@@ -764,6 +769,39 @@ def test_family_stream_prints_the_bytes_of_whole_lists(capsys, count):
 def test_empty_json_array_prints_brackets(capsys):
     cli._emit("json", ["n"], iter([]), lambda: iter([]))
     assert capsys.readouterr().out == json.dumps([], indent=2) + "\n" == "[]\n"
+
+
+# --- one writer for JSON and CSV text, with the stdlib as its oracle -----------
+
+# ASCII, control characters, quotes and backslashes, non-ASCII and astral
+# characters, and lone surrogates, which the C escaper writes as \ud800.
+JSON_CHARS = st.one_of(st.characters(max_codepoint=0x7F), st.characters(min_codepoint=0x80),
+                       st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\ud800", "\udfff", "\U0001F600"]))
+JSON_VALUES = st.recursive(
+    st.text(JSON_CHARS) | st.booleans() | st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(JSON_CHARS, max_size=6), inner, max_size=4),
+    max_leaves=24)
+
+
+@given(JSON_VALUES)
+def test_json_text_is_the_bytes_of_json_dumps_at_every_depth(value):
+    text = json.dumps(value, indent=2)  # raw newlines in it are layout only: strings escape theirs
+    assert cli._json_text(value) == text
+    assert cli._json_text(value, 1) == text.replace("\n", "\n  ")
+
+
+@pytest.mark.parametrize("value", [1, Fraction(1, 2), {"n": [True, 7]}, (1, 2)],
+                         ids=["int", "Fraction", "nested", "tuple"])
+def test_json_text_rejects_what_wire_never_returns(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+@given(st.lists(st.text(alphabet=',"\n\r\0\';\u00fc0123456789', max_size=8), min_size=2, max_size=6))
+def test_csv_line_is_the_bytes_of_csv_writer(row):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(row)
+    assert cli._csv_line(row) == buf.getvalue()
 
 
 # The child reads its peak RSS as VmHWM, the high-water mark of its own

@@ -1,6 +1,9 @@
 import json
 import os
 import random
+import signal
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -492,6 +495,58 @@ def test_exception_in_the_caller_kills_a_child_blocked_on_a_full_pipe(monkeypatc
     assert time.monotonic() - start < 15
     assert len(split) == 1
     _assert_nothing_left(fds)
+
+
+# A caller that sleeps in its own share while its child, past a 1 MiB
+# record, blocks writing to the pipe; the child prints its pid first.
+SLEEPING_CALLER = """
+import os, sys, time
+sys.path.insert(0, sys.argv[1])
+from fibquad import oracle
+oracle.WINDOWS_PER_PROCESS = 4
+os.sched_getaffinity = lambda pid: {0, 1}
+caller, share = os.getpid(), oracle._share
+
+def blocked(check, n, rank=0, size=1):
+    if os.getpid() == caller:
+        time.sleep(120)
+    print(os.getpid(), flush=True)
+    return share(check, n, rank, size) + [{"i": rank, "pad": "x" * (1 << 20)}]
+
+oracle._share = blocked
+oracle.run_claim("theorem3", oracle.SweepConfig(theorem3_max=30))
+"""
+
+
+def _running(pid):
+    """Whether pid is a process that has not ended: neither gone nor a zombie."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except FileNotFoundError:
+        return False
+    return "\nState:\tZ" not in status
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="process states are read from procfs")
+def test_a_child_whose_caller_dies_by_a_signal_ends_too():
+    # SIGTERM ends the caller without its finally, so nothing kills the
+    # child; it ends because it holds no read end of its own pipe, and its
+    # blocked write fails once the caller's copy is gone
+    src = str(Path(oracle.__file__).resolve().parent.parent)
+    with subprocess.Popen([sys.executable, "-I", "-c", SLEEPING_CALLER, src],
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
+        child = int(proc.stdout.readline())
+        try:
+            time.sleep(0.3)  # time to fill the pipe
+            proc.terminate()
+            assert proc.wait(timeout=60) == -signal.SIGTERM
+            deadline = time.monotonic() + 10
+            while _running(child) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(child)
+        finally:
+            if _running(child):
+                os.kill(child, signal.SIGKILL)
 
 
 class _Unpicklable(Exception):

@@ -232,6 +232,24 @@ def test_a_forked_child_never_returns_into_its_caller():
     assert closing == []
 
 
+def test_one_writer_prints_json_and_csv_text():
+    # JSON text comes from cli._json_text and CSV lines from cli._csv_line
+    # alone: no module calls json.dumps or json.dump, or imports either by
+    # name, and none imports csv
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names if alias.name.split(".")[0] == "csv"]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names if node.module.split(".")[0] == "csv"
+                         or (node.module == "json" and alias.name in ("dump", "dumps"))]
+            else:
+                names = [f"json.{name}" for name in ("dump", "dumps") if _is_call(node, "json", name)]
+            found += [f"{path.name}:{node.lineno} {name}" for name in names]
+    assert found == []
+
+
 def _stream_of(node):
     """'stdout' or 'stderr' when node is sys.stdout or sys.stderr, else None."""
     if (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
